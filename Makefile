@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md.
 
-.PHONY: all verify test report-schema soak-smoke serve-smoke stab-smoke m5-smoke bench bench-smoke bench-artifact perf-gate clean
+.PHONY: all verify test report-schema soak-smoke serve-smoke stab-smoke m5-smoke bench bench-smoke bench-artifact perf-gate perfbench clean
 
 all:
 	dune build
@@ -112,6 +112,14 @@ perf-gate:
 	_build/default/bench/main.exe --micro --quota 0.5 --json _build/BENCH_latest2.json
 	_build/default/bench/main.exe --micro --quota 0.5 --json _build/BENCH_latest3.json
 	_build/default/bench/perf_gate.exe BENCH_PR10.json _build/BENCH_latest1.json _build/BENCH_latest2.json _build/BENCH_latest3.json
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): each
+# workload for 30 s of fresh-process iterations, tracing off, printing
+# every end-to-end metric.  About two minutes, so not part of verify.
+perfbench:
+	for w in pair-sweep single-bfs stab-search serve-batch; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -102,23 +102,6 @@ module Runstate = struct
     mutable hits : int;  (* cache hits — the work the sweep shares *)
   }
 
-  (* Every move a search can feed the store, numbered densely: message
-     values are bounded by the declared alphabets ([validate_action]
-     enforces this), so the code space has a fixed stride per state. *)
-  let move_code ~sa ~ra = function
-    | Move.Wake_sender -> 0
-    | Move.Wake_receiver -> 1
-    | Move.Restart_sender -> 2
-    | Move.Restart_receiver -> 3
-    | Move.Deliver_to_receiver m -> 4 + m
-    | Move.Drop_to_receiver m -> 4 + sa + m
-    | Move.Deliver_to_sender m -> 4 + (2 * sa) + m
-    | Move.Drop_to_sender m -> 4 + (2 * sa) + ra + m
-    (* Corruption happens at search roots (seeded via [seed]), never
-       as a searched transition, so no caller ever feeds these here. *)
-    | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
-        invalid_arg "Runstate: corrupt-state moves are roots, not transitions"
-
   (* Caller must hold [lock]. *)
   let sid t g =
     Stdx.Codec.reset t.scratch;
@@ -134,7 +117,8 @@ module Runstate = struct
         x;
         intern = Stdx.Intern.create ~size:64 ();
         scratch = Stdx.Codec.create ~size:256 ();
-        stride = 4 + (2 * (p.Protocol.sender_alphabet + p.Protocol.receiver_alphabet));
+        stride =
+          Move.code_space ~sa:p.Protocol.sender_alphabet ~ra:p.Protocol.receiver_alphabet;
         succ = Hashtbl.create 64;
         lock = Mutex.create ();
         g0 = Global.initial p ~input:(Array.of_list x);
@@ -146,17 +130,6 @@ module Runstate = struct
     t
 
   let initial t = (t.g0, 0)
-
-  (* Intern an arbitrary root state — the corrupted-start seam: a
-     stabilisation search seeds one id per enumerated corruption and
-     then shares the one transition store across every root's BFS,
-     exactly as the all-pairs sweep shares it across pairs. *)
-  let seed t g =
-    if not t.memo then 0
-    else begin
-      Mutex.lock t.lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> sid t g)
-    end
 
   let apply t g id move =
     if not t.memo then
@@ -173,7 +146,7 @@ module Runstate = struct
         (fun () ->
           let sa = t.p.Protocol.sender_alphabet in
           let ra = t.p.Protocol.receiver_alphabet in
-          let k = (id * t.stride) + move_code ~sa ~ra move in
+          let k = (id * t.stride) + Move.code ~sa ~ra move in
           match Hashtbl.find_opt t.succ k with
           | Some r ->
               t.hits <- t.hits + 1;
@@ -712,99 +685,52 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
         | None -> No_violation { closed = true; states_explored }
       end
 
+(* The enabled moves a single-run search follows: send caps on the
+   wakes, drops only when the channel may drop, no faults. *)
+let single_moves ~allow_drops ~send_cap ~recv_cap p (g : Global.t) =
+  List.filter
+    (function
+      | Move.Wake_sender -> Chan.sent_total g.Global.chan_sr < send_cap
+      | Move.Wake_receiver -> Chan.sent_total g.Global.chan_rs < recv_cap
+      | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
+      | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
+      | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _
+      | Move.Corrupt_receiver _ ->
+          false)
+    (Sim.enabled p g)
+
 let search_single_raw (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000)
     ?allow_drops ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
     ?mem_budget_bytes ?stats () =
   let allow_drops =
     match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
   in
-  let over_deadline = make_deadline max_seconds in
-  let intern = Stdx.Intern.create ~size:64 () in
-  let scratch = Stdx.Codec.create ~size:256 () in
-  let gid g =
-    Stdx.Codec.reset scratch;
-    Global.emit scratch g;
-    fst
-      (Stdx.Intern.intern_bytes intern (Stdx.Codec.buffer scratch) ~pos:0
-         ~len:(Stdx.Codec.length scratch))
+  let sa = p.Protocol.sender_alphabet and ra = p.Protocol.receiver_alphabet in
+  let r =
+    Kernel.Bfs.search ~depth ~max_states ?mem_budget_bytes
+      ~over_deadline:(make_deadline max_seconds) ~key:Global.emit
+      ~moves:
+        (single_moves ~allow_drops ~send_cap:max_sends_per_sender
+           ~recv_cap:max_sends_per_receiver p)
+      ~step:(fun g m -> Some (Sim.apply p g m))
+      ~code:(Move.code ~sa ~ra) ~decode:(Move.of_code ~sa ~ra)
+      ~goal:(fun g -> not (Global.safety_ok g))
+      ~push_goal:true
+      [ Global.initial p ~input:(Array.of_list x) ]
   in
-  let table : (int, Global.t * (int * Move.t) option * int) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
-  Fun.protect
-    ~finally:(fun () ->
-      (match stats with
-      | Some s ->
-          Stats.note s (Stdx.Frontier.stats frontier)
-            ~joint_states:(Hashtbl.length table)
-      | None -> ());
-      Stdx.Frontier.close frontier)
-  @@ fun () ->
-  let g0 = Global.initial p ~input:(Array.of_list x) in
-  let key0 = gid g0 in
-  Hashtbl.replace table key0 (g0, None, 0);
-  Stdx.Frontier.push frontier key0;
-  let result = ref None in
-  let truncated = ref false in
-  while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
-    if over_deadline () then begin
-      truncated := true;
-      Stdx.Frontier.clear frontier
-    end
-    else begin
-    let key = Stdx.Frontier.pop frontier in
-    let g, _, d = Hashtbl.find table key in
-    if d >= depth then truncated := true
-    else
-      List.iter
-        (fun move ->
-          if !result = None then begin
-            let keep =
-              match move with
-              | Move.Wake_sender -> Chan.sent_total g.Global.chan_sr < max_sends_per_sender
-              | Move.Wake_receiver -> Chan.sent_total g.Global.chan_rs < max_sends_per_receiver
-              | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
-              | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
-              | Move.Restart_sender | Move.Restart_receiver
-              | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
-                  false
-            in
-            if keep then begin
-              let g' = Sim.apply p g move in
-              let key' = gid g' in
-              if not (Hashtbl.mem table key') then begin
-                if Hashtbl.length table >= max_states then truncated := true
-                else begin
-                  Hashtbl.replace table key' (g', Some (key, move), d + 1);
-                  if not (Global.safety_ok g') then result := Some key';
-                  Stdx.Frontier.push frontier key'
-                end
-              end
-            end
-          end)
-        (Sim.enabled p g)
-    end
-  done;
-  let states_explored = Hashtbl.length table in
-  match !result with
-  | Some key ->
-      let rec unwind key acc =
-        match Hashtbl.find table key with
-        | _, None, _ -> acc
-        | _, Some (pkey, move), _ -> unwind pkey (Only1 move :: acc)
-      in
-      let moves = unwind key [] in
+  Option.iter (fun s -> Stats.note s r.Kernel.Bfs.frontier ~joint_states:r.states) stats;
+  match r.found with
+  | Some (_, moves) ->
       Witness
         {
           x1 = x;
           x2 = x;
           kind = Safety { violated_run = 1 };
-          joint_moves = moves;
+          joint_moves = List.map (fun m -> Only1 m) moves;
           depth = List.length moves;
-          states_explored;
+          states_explored = r.states;
         }
-  | None -> No_violation { closed = not !truncated; states_explored }
+  | None -> No_violation { closed = r.closed; states_explored = r.states }
 
 (* --- The symmetry quotient -------------------------------------------
 

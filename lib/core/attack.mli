@@ -40,6 +40,9 @@
     memoised per input in a {!Runstate} store that {!search} shares
     across all pairs of a sweep.  BFS frontiers are chunked varint
     queues ({!Stdx.Frontier}) of bare ids rather than boxed queues.
+    {!search_single} runs on {!Kernel.Bfs}, which keeps only key bytes,
+    parent id and move code per visited state, and a global state only
+    while it is queued.
 
     With [~symm:true], searches on protocols declaring an
     {!Kernel.Symm.equivariance} are quotiented by data-alphabet
@@ -109,15 +112,6 @@ module Runstate : sig
 
   val initial : t -> Kernel.Global.t * int
   (** The initial global state and its id (always 0). *)
-
-  val seed : t -> Kernel.Global.t -> int
-  (** Intern an arbitrary root state and return its id — the
-      corrupted-start seam: a stabilisation search seeds one id per
-      enumerated corruption ({!Kernel.Global.initial} with perturbed
-      processes) and shares the one transition store across every
-      root's BFS, exactly as the all-pairs sweep shares it across
-      pairs.  In [memo:false] mode ids are vestigial and [0] is
-      returned. *)
 
   val apply :
     t -> Kernel.Global.t -> int -> Kernel.Move.t -> (Kernel.Global.t * int) option
@@ -239,6 +233,18 @@ val search_single :
     Alternating Bit receiver write a third item on a two-item input.
     The witness's [x1 = x2 = x] and all moves are [Only1].  [symm]
     as in {!search_pair}. *)
+
+val single_moves :
+  allow_drops:bool ->
+  send_cap:int ->
+  recv_cap:int ->
+  Kernel.Protocol.t ->
+  Kernel.Global.t ->
+  Kernel.Move.t list
+(** The enabled moves a single-run search follows from a state: a wake
+    only while that process has sent fewer than its cap, drops only
+    when [allow_drops], deliveries always, never a fault move.  Shared
+    by {!search_single} and {!Core.Stab.search}. *)
 
 val eligible_pairs : xs:int list list -> (int list * int list) list
 (** The unordered pairs of distinct sequences in [xs] where neither is

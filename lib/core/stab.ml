@@ -5,7 +5,6 @@ module Sim = Kernel.Sim
 module Sched = Kernel.Sched
 module Strategy = Kernel.Strategy
 module Symm = Kernel.Symm
-module Chan = Channel.Chan
 module Report = Stdx.Report
 module Rng = Stdx.Rng
 
@@ -105,99 +104,37 @@ let search ?(depth = 200) ?(max_states = 200_000) ?(allow_drops = true)
     ?(max_sends_per_sender = 16) ?(max_sends_per_receiver = 16) ?mem_budget_bytes ?stats
     p ~input () =
   let pairs = space p ~input in
-  let rs = Attack.Runstate.create p ~x:(Array.to_list input) in
-  (* One BFS over the union of every corrupted root's reachable space:
-     the shared transition store dedups states across roots exactly as
-     the all-pairs sweep shares it across pairs, and the visited
-     bitset keys on the store's dense ids. *)
-  let table : (int, Global.t * (int * Move.t) option * int) Hashtbl.t =
-    Hashtbl.create 1024
+  let sa = p.Protocol.sender_alphabet and ra = p.Protocol.receiver_alphabet in
+  (* One BFS over the union of every corrupted root's reachable space,
+     keyed on run keys (the send counters feed the cap checks).  Root 0
+     is the clean boot (the perturb contract), so it takes id 0. *)
+  let res =
+    Kernel.Bfs.search ~depth ~max_states ?mem_budget_bytes ~key:Global.emit_run_key
+      ~moves:
+        (Attack.single_moves ~allow_drops ~send_cap:max_sends_per_sender
+           ~recv_cap:max_sends_per_receiver p)
+      ~step:(fun g m ->
+        match Sim.apply p g m with exception Sim.Model_violation _ -> None | g' -> Some g')
+      ~code:(Move.code ~sa ~ra) ~decode:(Move.of_code ~sa ~ra)
+      ~goal:(fun g -> not (Global.safety_ok g))
+      ~push_goal:false
+      (List.map
+         (fun (s, r) -> Global.initial ~sender:s.Protocol.proc ~receiver:r.Protocol.proc p ~input)
+         pairs)
   in
-  let visited = Stdx.Bitset.create () in
-  let frontier = Stdx.Frontier.create ?mem_budget_bytes () in
-  let result = ref None in
-  let truncated = ref false in
-  List.iteri
-    (fun ri (s, r) ->
-      if !result = None then begin
-        let g =
-          Global.initial ~sender:s.Protocol.proc ~receiver:r.Protocol.proc p ~input
-        in
-        let id = Attack.Runstate.seed rs g in
-        if Stdx.Bitset.add visited id then begin
-          Hashtbl.replace table id (g, None, ri);
-          if not (Global.safety_ok g) then result := Some (id, 0)
-          else Stdx.Frontier.push frontier id
-        end
-      end)
-    pairs;
-  let this_level = ref (Stdx.Frontier.length frontier) in
-  let next_level = ref 0 in
-  let level = ref 0 in
-  while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
-    if !this_level = 0 then begin
-      this_level := !next_level;
-      next_level := 0;
-      incr level
-    end;
-    let id = Stdx.Frontier.pop frontier in
-    decr this_level;
-    let g, _, root = Hashtbl.find table id in
-    if !level >= depth then truncated := true
-    else
-      List.iter
-        (fun move ->
-          if !result = None then begin
-            let keep =
-              match move with
-              | Move.Wake_sender ->
-                  Chan.sent_total g.Global.chan_sr < max_sends_per_sender
-              | Move.Wake_receiver ->
-                  Chan.sent_total g.Global.chan_rs < max_sends_per_receiver
-              | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
-              | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
-              | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _
-              | Move.Corrupt_receiver _ ->
-                  false
-            in
-            if keep then
-              match Attack.Runstate.apply rs g id move with
-              | None -> ()
-              | Some (g', id') ->
-                  if Stdx.Bitset.add visited id' then begin
-                    if Hashtbl.length table >= max_states then truncated := true
-                    else begin
-                      Hashtbl.replace table id' (g', Some (id, move), root);
-                      if not (Global.safety_ok g') then result := Some (id', !level + 1)
-                      else Stdx.Frontier.push frontier id';
-                      incr next_level
-                    end
-                  end
-          end)
-        (Sim.enabled p g)
-  done;
-  (match stats with
-  | Some s ->
-      Attack.Stats.note s (Stdx.Frontier.stats frontier)
-        ~joint_states:(Hashtbl.length table)
-  | None -> ());
-  Stdx.Frontier.close frontier;
-  match !result with
-  | None -> No_violation { closed = not !truncated; states = Hashtbl.length table }
-  | Some (id, d) ->
-      let rec unwind id acc =
-        match Hashtbl.find table id with
-        | _, None, root -> (root, acc)
-        | _, Some (parent, move), _ -> unwind parent (move :: acc)
-      in
-      let root, moves = unwind id [] in
+  Option.iter
+    (fun s -> Attack.Stats.note s res.Kernel.Bfs.frontier ~joint_states:res.states)
+    stats;
+  match res.found with
+  | None -> No_violation { closed = res.closed; states = res.states }
+  | Some (root, moves) ->
       let s, r = List.nth pairs root in
       Violation
         {
           w_s_label = s.Protocol.label;
           w_r_label = r.Protocol.label;
           moves;
-          violation_depth = d;
+          violation_depth = List.length moves;
         }
 
 (* ------------------------ witness replay ------------------------ *)

@@ -1,0 +1,55 @@
+(** One single-run breadth-first search over interned state keys.
+
+    The engine behind {!Core.Attack.search_single} (one root) and
+    {!Core.Stab.search} (one root per corrupted start).  Each generated
+    state is emitted by the caller's [key] into a reusable codec buffer
+    and hash-consed ({!Stdx.Intern.intern_bytes}) into a dense id, in
+    first-seen order.  Per visited state the engine keeps:
+    - its interned key bytes;
+    - its parent id and the code of the move that reached it, in int
+      arrays indexed by id;
+    - one array slot holding the state itself, filled only while the
+      id waits on the frontier and cleared when it is popped.
+
+    So a closed space costs its key bytes plus three words per visited
+    state; full states are held for the frontier alone.  Witness paths
+    are rebuilt by unwinding the parent arrays.  The frontier is a
+    {!Stdx.Frontier} of bare ids: [mem_budget_bytes] bounds that id
+    queue, not the states held for its members. *)
+
+type 'm result = {
+  found : (int * 'm list) option;
+      (** The first goal state reached, as the index in [roots] of the
+          root it was reached from and the moves from that root. *)
+  closed : bool;
+      (** [false] when [depth], [max_states] or the deadline cut the
+          search short. *)
+  states : int;  (** Visited states, roots included. *)
+  frontier : Stdx.Frontier.stats;
+}
+
+val search :
+  depth:int ->
+  max_states:int ->
+  ?mem_budget_bytes:int ->
+  ?over_deadline:(unit -> bool) ->
+  key:(Stdx.Codec.t -> 's -> unit) ->
+  moves:('s -> 'm list) ->
+  step:('s -> 'm -> 's option) ->
+  code:('m -> int) ->
+  decode:(int -> 'm) ->
+  goal:('s -> bool) ->
+  push_goal:bool ->
+  's list ->
+  'm result
+(** [search ~depth ~max_states ... roots] visits the roots in order
+    (duplicates by key count once), then expands states level by level:
+    [moves s] in order, each stepped by [step s m] ([None] is no
+    successor), until a state satisfies [goal] or the frontier drains.
+    A goal state ends the search at once; it is still queued when
+    [push_goal] holds, which only shows in the frontier counters.
+
+    States at level [depth] are not expanded, and no state is visited
+    past the [max_states]th; either cut, or [over_deadline ()] turning
+    true before a pop, makes the search not [closed].  [code]/[decode]
+    map moves to the non-negative ints stored per state and back. *)

@@ -16,6 +16,30 @@ let is_receiver_visible = function
   | Corrupt_sender _ ->
       false
 
+(* Message values are bounded by the declared alphabets, so the
+   searchable moves number densely in [0, code_space). *)
+let code_space ~sa ~ra = 4 + (2 * (sa + ra))
+
+let code ~sa ~ra = function
+  | Wake_sender -> 0
+  | Wake_receiver -> 1
+  | Restart_sender -> 2
+  | Restart_receiver -> 3
+  | Deliver_to_receiver m -> 4 + m
+  | Drop_to_receiver m -> 4 + sa + m
+  | Deliver_to_sender m -> 4 + (2 * sa) + m
+  | Drop_to_sender m -> 4 + (2 * sa) + ra + m
+  | Corrupt_sender _ | Corrupt_receiver _ ->
+      invalid_arg "Move.code: corrupt-state moves are roots, not transitions"
+
+let of_code ~sa ~ra c =
+  if c < 0 || c >= code_space ~sa ~ra then invalid_arg "Move.of_code: out of range"
+  else if c < 4 then [| Wake_sender; Wake_receiver; Restart_sender; Restart_receiver |].(c)
+  else if c < 4 + sa then Deliver_to_receiver (c - 4)
+  else if c < 4 + (2 * sa) then Drop_to_receiver (c - 4 - sa)
+  else if c < 4 + (2 * sa) + ra then Deliver_to_sender (c - 4 - (2 * sa))
+  else Drop_to_sender (c - 4 - (2 * sa) - ra)
+
 let pp ppf = function
   | Wake_sender -> Format.pp_print_string ppf "wake S"
   | Wake_receiver -> Format.pp_print_string ppf "wake R"

@@ -35,6 +35,21 @@ val is_receiver_visible : t -> bool
     it).  The product attack search synchronises exactly these across
     the two runs it steers. *)
 
+val code_space : sa:int -> ra:int -> int
+(** Number of distinct {!code}s for a protocol whose sender and
+    receiver alphabets have [sa] and [ra] symbols. *)
+
+val code : sa:int -> ra:int -> t -> int
+(** Dense code in [\[0, code_space ~sa ~ra)] for every searchable move
+    (wakes, restarts, deliveries and drops of in-alphabet messages) —
+    the int the search engines store in place of a boxed move.
+    @raise Invalid_argument on corrupt moves: corruption happens at
+    search roots, never as a searched transition. *)
+
+val of_code : sa:int -> ra:int -> int -> t
+(** Inverse of {!code}.
+    @raise Invalid_argument outside [\[0, code_space ~sa ~ra)]. *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val to_string : t -> string

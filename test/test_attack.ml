@@ -248,16 +248,24 @@ let test_e10_baseline () =
     Protocols.Stenning_mod.protocol_on (Chan.Bounded_reorder { lag = 1 }) ~domain:2
       ~header_space:2
   in
+  let stats = Attack.Stats.create () in
   let w =
     witness_exn
       (Attack.search_single p ~x:[ 0; 0; 1 ] ~depth:80 ~max_sends_per_sender:8
-         ~max_sends_per_receiver:8 ~allow_drops:false ())
+         ~max_sends_per_receiver:8 ~allow_drops:false ~stats ())
   in
   (match w.Attack.kind with
   | Attack.Safety { violated_run } -> check Alcotest.int "violated run" 1 violated_run
   | Attack.Starvation _ -> Alcotest.fail "expected safety");
   check Alcotest.int "depth" 7 w.Attack.depth;
-  check Alcotest.int "states explored" 69 w.Attack.states_explored
+  check Alcotest.int "states explored" 69 w.Attack.states_explored;
+  (* The violating state is queued too, and ids are varint-packed, so
+     these peaks pin both the push and the id numbering. *)
+  let s = Attack.Stats.snapshot stats in
+  check
+    Alcotest.(pair int int)
+    "frontier peaks" (35, 30)
+    (s.Attack.Stats.peak_frontier_bytes, s.Attack.Stats.peak_frontier_len)
 
 (* The out-of-core frontier's exactness contract on the engine
    baselines: a budgeted search (4096 B forces the pager to its

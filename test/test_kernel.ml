@@ -13,6 +13,7 @@ module Trace = Kernel.Trace
 module Strategy = Kernel.Strategy
 module Runner = Kernel.Runner
 module Explore = Kernel.Explore
+module Bfs = Kernel.Bfs
 module Chan = Channel.Chan
 
 let check = Alcotest.check
@@ -500,6 +501,52 @@ let prop_global_fingerprint_iff_components =
             !states)
         !states)
 
+(* ------------------------- Move codes and Bfs ------------------------- *)
+
+let test_move_code_roundtrip () =
+  let sa = 3 and ra = 2 in
+  let all = List.init (Move.code_space ~sa ~ra) (Move.of_code ~sa ~ra) in
+  List.iteri
+    (fun c m -> check Alcotest.int (Move.to_string m) c (Move.code ~sa ~ra m))
+    all;
+  check Alcotest.bool "every kind coded" true
+    (List.mem (Move.Drop_to_sender 1) all && List.mem (Move.Deliver_to_receiver 2) all);
+  check Alcotest.bool "corrupt moves have no code" true
+    (match Move.code ~sa ~ra (Move.Corrupt_sender 0) with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* A toy space for the engine: ints up to 20 under +1 and *2. *)
+let toy_search ?(depth = 100) ?(max_states = 100) ?(goal = fun _ -> false) roots =
+  Bfs.search ~depth ~max_states
+    ~key:(fun c n -> Stdx.Codec.add_varint c n)
+    ~moves:(fun _ -> [ `Inc; `Dbl ])
+    ~step:(fun n m ->
+      let n' = match m with `Inc -> n + 1 | `Dbl -> 2 * n in
+      if n' > 20 then None else Some n')
+    ~code:(function `Inc -> 0 | `Dbl -> 1)
+    ~decode:(function 0 -> `Inc | _ -> `Dbl)
+    ~goal ~push_goal:false roots
+
+let test_bfs_budgets () =
+  let shape (r : _ Bfs.result) = (r.Bfs.closed, r.Bfs.states) in
+  let pair = Alcotest.(pair bool int) in
+  check pair "closes over 1..20" (true, 20) (shape (toy_search [ 1 ]));
+  check pair "duplicate roots count once" (true, 20) (shape (toy_search [ 1; 1 ]));
+  check pair "depth cut" (false, 4) (shape (toy_search ~depth:2 [ 1 ]));
+  check pair "state budget" (false, 3) (shape (toy_search ~max_states:3 [ 1 ]))
+
+let test_bfs_witness () =
+  let goal n = n = 13 in
+  (match (toy_search ~goal [ 1 ]).Bfs.found with
+  | Some (0, path) ->
+      check Alcotest.int "shortest path" 5 (List.length path);
+      check Alcotest.int "replays to the goal" 13
+        (List.fold_left (fun n m -> match m with `Inc -> n + 1 | `Dbl -> 2 * n) 1 path)
+  | _ -> Alcotest.fail "goal reachable from root 0");
+  check Alcotest.bool "the nearest root's index is reported" true
+    ((toy_search ~goal [ 1; 1; 5 ]).Bfs.found = Some (2, [ `Inc; `Dbl; `Inc ]))
+
 let () =
   Alcotest.run "kernel"
     [
@@ -555,5 +602,11 @@ let () =
           Alcotest.test_case "no_drops filter" `Quick test_explore_no_drops_filter;
           Alcotest.test_case "dead end emitted" `Quick test_explore_dead_end_emitted;
           qtest prop_global_fingerprint_iff_components;
+        ] );
+      ( "bfs",
+        [
+          Alcotest.test_case "move codes round-trip" `Quick test_move_code_roundtrip;
+          Alcotest.test_case "budgets" `Quick test_bfs_budgets;
+          Alcotest.test_case "witness" `Quick test_bfs_witness;
         ] );
     ]

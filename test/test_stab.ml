@@ -90,8 +90,7 @@ let test_corrupt_never_enabled () =
 let test_runstate_rejects_corrupt_transitions () =
   let p = stab_p () in
   let rs = Runstate.create p ~x:[ 0; 1 ] in
-  let g = Global.initial p ~input:[| 0; 1 |] in
-  let id = Runstate.seed rs g in
+  let g, id = Runstate.initial rs in
   check Alcotest.bool "corrupt is not a transition" true
     (match Runstate.apply rs g id (Move.Corrupt_sender 1) with
     | exception Invalid_argument _ -> true
@@ -145,8 +144,8 @@ let test_sweep_needs_seam () =
 
 (* ------------------------- search ------------------------- *)
 
-let search p input =
-  Stab.search ~depth:64 ~max_states:200_000 ~max_sends_per_sender:4
+let search ?(max_states = 200_000) ?mem_budget_bytes ?stats p input =
+  Stab.search ~depth:64 ~max_states ?mem_budget_bytes ?stats ~max_sends_per_sender:4
     ~max_sends_per_receiver:4 p ~input ()
 
 let test_search_closes_stabilising () =
@@ -170,6 +169,84 @@ let test_search_finds_abp_witness () =
       let w' = Stab.relabel_witness eq pi w in
       check Alcotest.bool "relabelled witness replays" true
         (Stab.replay p ~input:(Array.map pi input) w')
+
+(* The engine holds each queued state beside an id frontier that may
+   spill: a one-byte budget pages every chunk out and must change
+   nothing — witness, closure, state count or the budget-invariant
+   frontier peaks (which pin the id numbering: ids are varint-packed). *)
+let test_search_mem_budget_identity () =
+  let input = [| 0; 1 |] in
+  let peaks name stats (bytes, len) =
+    let s = Core.Attack.Stats.snapshot stats in
+    check
+      Alcotest.(pair int int)
+      (name ^ " frontier peaks") (bytes, len)
+      (s.Core.Attack.Stats.peak_frontier_bytes, s.Core.Attack.Stats.peak_frontier_len)
+  in
+  List.iter
+    (fun mem_budget_bytes ->
+      let stats = Core.Attack.Stats.create () in
+      (match search ?mem_budget_bytes ~stats (abp ()) input with
+      | Stab.No_violation _ -> Alcotest.fail "stock ABP must have a corrupted-start violation"
+      | Stab.Violation w ->
+          check
+            Alcotest.(pair string string)
+            "witness start"
+            ("S:next=1,bit=0", "R:expected=0,started=false")
+            (w.Stab.w_s_label, w.Stab.w_r_label);
+          check
+            Alcotest.(list string)
+            "witness moves" [ "wake S"; "deliver 1 to R" ]
+            (List.map Move.to_string w.Stab.moves);
+          check Alcotest.int "witness depth" 2 w.Stab.violation_depth);
+      peaks "abp" stats (81, 54))
+    [ None; Some 1 ];
+  List.iter
+    (fun (name, p, pinned, pinned_peaks) ->
+      List.iter
+        (fun mem_budget_bytes ->
+          let stats = Core.Attack.Stats.create () in
+          (match search ?mem_budget_bytes ~stats p input with
+          | Stab.No_violation { closed; states } ->
+              check Alcotest.bool (name ^ " closed") true closed;
+              check Alcotest.int (name ^ " states") pinned states
+          | Stab.Violation _ -> Alcotest.failf "%s must have no reachable violation" name);
+          peaks name stats pinned_peaks)
+        [ None; Some 1 ])
+    [
+      ("abp-stab", stab_p (), 23_710, (8859, 2953));
+      ( "stenning-stab",
+        Protocols.Stenning_stab.protocol ~domain:2 ~max_len:4,
+        87_337,
+        (38_991, 12_997) );
+      ("gbn-stab", Protocols.Gbn_stab.protocol ~domain:2 ~max_len:4 ~window:2, 24_499, (9405, 3135));
+    ]
+
+(* One state short of closing, both single-run searches stop at the
+   budget and say so. *)
+let test_search_truncates_at_budget () =
+  let gbn = Protocols.Gbn_stab.protocol ~domain:2 ~max_len:4 ~window:2 in
+  (match search ~max_states:(24_499 - 1) gbn [| 0; 1 |] with
+  | Stab.No_violation { closed; states } ->
+      check Alcotest.bool "stab truncated" false closed;
+      check Alcotest.int "stab states" 24_498 states
+  | Stab.Violation _ -> Alcotest.fail "gbn-stab must have no reachable violation");
+  let p =
+    Protocols.Stenning_mod.protocol_on (Channel.Chan.Bounded_reorder { lag = 1 }) ~domain:2
+      ~header_space:4
+  in
+  let single ?max_states () =
+    Core.Attack.search_single p ~x:[ 0; 0; 1 ] ~depth:80 ?max_states
+      ~max_sends_per_sender:6 ~max_sends_per_receiver:6 ()
+  in
+  List.iter
+    (fun (max_states, closed, states) ->
+      match single ?max_states () with
+      | Core.Attack.No_violation o ->
+          check Alcotest.bool "single closed" closed o.closed;
+          check Alcotest.int "single states" states o.states_explored
+      | Core.Attack.Witness _ -> Alcotest.fail "stenning-mod h=4 lag:1 is safe on 0,0,1")
+    [ (None, true, 2497); (Some (2497 - 1), false, 2496) ]
 
 let test_sweep_report_shape () =
   let r = Stab.sweep_report (sweep ()) in
@@ -437,6 +514,9 @@ let () =
         [
           Alcotest.test_case "closes abp-stab" `Quick test_search_closes_stabilising;
           Alcotest.test_case "finds and replays abp witness" `Quick test_search_finds_abp_witness;
+          Alcotest.test_case "mem budget changes nothing" `Quick test_search_mem_budget_identity;
+          Alcotest.test_case "truncates at the state budget" `Quick
+            test_search_truncates_at_budget;
         ] );
       ( "families",
         [
