@@ -27,10 +27,12 @@ report-schema:
 	_build/default/bin/stp_cli.exe attack -p norep -d 2 --json _build/stp_attack.json > /dev/null
 	_build/default/bin/stp_cli.exe soak --seed 5 --random-plans 1 --json _build/stp_soak.json > /dev/null
 	_build/default/bin/stp_cli.exe serve --once examples/serve_jobs.json --json _build/stp_serve.json > /dev/null
+	_build/default/bin/stp_cli.exe recover --json _build/stp_recover.json > /dev/null
 	_build/default/bin/stp_cli.exe validate _build/stp_exp.json
 	_build/default/bin/stp_cli.exe validate _build/stp_attack.json
 	_build/default/bin/stp_cli.exe validate _build/stp_soak.json
 	_build/default/bin/stp_cli.exe validate _build/stp_serve.json
+	_build/default/bin/stp_cli.exe validate _build/stp_recover.json
 
 # A tiny fault-injection battery: run it, validate its artifact, and
 # require the scripted scenarios to have produced recovery verdicts.

@@ -201,22 +201,18 @@ let sweep_nomemo_workload () = sweep_workload ~memo:false ()
 
 (* The quotiented sweep against its unquotiented twin, through the
    public [Attack.search] entry point: same pair list, same caps, the
-   delta is the orbit dedup (plus the canonicalisation overhead it
-   pays for).  Sequential so the ratio isolates the quotient, not the
-   domain pool. *)
-let sweep_quotient_workload ~symm ~swap_symm () =
+   delta is the orbit dedup — alphabet permutations composed with the
+   joint-space run swap — plus the canonicalisation overhead it pays
+   for.  Sequential so the ratio isolates the quotient, not the domain
+   pool. *)
+let sweep_quotient_workload ~symm () =
   let p = Lazy.force sweep_protocol in
   ignore
     (Core.Attack.search p ~xs:(Lazy.force sweep_xs) ~depth:200
-       ~max_sends_per_sender:sweep_caps ~max_sends_per_receiver:sweep_caps ~symm ~swap_symm
-       ~jobs:1 ())
+       ~max_sends_per_sender:sweep_caps ~max_sends_per_receiver:sweep_caps ~symm ~jobs:1 ())
 
-(* Three rungs of the quotient ladder: plain, alphabet permutations
-   only, and permutations composed with the joint-space run swap — the
-   swapsymm/symm ratio is the swap's marginal win. *)
-let sweep_symm_workload () = sweep_quotient_workload ~symm:true ~swap_symm:false ()
-let sweep_swapsymm_workload () = sweep_quotient_workload ~symm:true ~swap_symm:true ()
-let sweep_nosymm_workload () = sweep_quotient_workload ~symm:false ~swap_symm:false ()
+let sweep_swapsymm_workload () = sweep_quotient_workload ~symm:true ()
+let sweep_nosymm_workload () = sweep_quotient_workload ~symm:false ()
 
 (* The canonicalisation kernel in isolation: first-occurrence
    relabelling of every eligible m=4 pair — the exact per-pair work
@@ -263,7 +259,15 @@ let frontier_spill_workload () =
    bookkeeping. *)
 let fingerprint_workload =
   let p = Protocols.Norep.dup ~m:2 in
-  fun () -> ignore (Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:12 ())
+  let sa = p.Kernel.Protocol.sender_alphabet and ra = p.Kernel.Protocol.receiver_alphabet in
+  fun () ->
+    ignore
+      (Kernel.Bfs.search ~depth:12 ~max_states:max_int ~key:Kernel.Global.emit
+         ~moves:(fun _ -> Kernel.Sim.enabled p)
+         ~step:(fun g m -> Some (Kernel.Sim.apply p g m))
+         ~code:(Kernel.Move.code ~sa ~ra) ~decode:(Kernel.Move.of_code ~sa ~ra)
+         ~goal:(fun _ _ -> false) ~push_goal:false
+         [ Kernel.Global.initial p ~input:[| 0; 1 |] ])
 
 (* The fault-injection pipeline end to end: battery construction,
    per-case split-RNG runs, recovery verdicts, report folding.
@@ -347,7 +351,6 @@ let benches =
     ("sched_batch", sched_batch_workload);
     ("sweep_allpairs_shared", sweep_shared_workload);
     ("sweep_allpairs_nomemo", sweep_nomemo_workload);
-    ("sweep_allpairs_symm", sweep_symm_workload);
     ("sweep_allpairs_swapsymm", sweep_swapsymm_workload);
     ("sweep_allpairs_nosymm", sweep_nosymm_workload);
     ("state_canon", state_canon_workload);

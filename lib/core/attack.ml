@@ -687,17 +687,17 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
 
 (* The enabled moves a single-run search follows: send caps on the
    wakes, drops only when the channel may drop, no faults. *)
-let single_moves ~allow_drops ~send_cap ~recv_cap p (g : Global.t) =
-  List.filter
-    (function
-      | Move.Wake_sender -> Chan.sent_total g.Global.chan_sr < send_cap
-      | Move.Wake_receiver -> Chan.sent_total g.Global.chan_rs < recv_cap
-      | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
-      | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
-      | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _
-      | Move.Corrupt_receiver _ ->
-          false)
-    (Sim.enabled p g)
+let single_keep ~allow_drops ~send_cap ~recv_cap (g : Global.t) = function
+  | Move.Wake_sender -> Chan.sent_total g.Global.chan_sr < send_cap
+  | Move.Wake_receiver -> Chan.sent_total g.Global.chan_rs < recv_cap
+  | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
+  | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
+  | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _
+  | Move.Corrupt_receiver _ ->
+      false
+
+let single_moves ~allow_drops ~send_cap ~recv_cap p g =
+  List.filter (single_keep ~allow_drops ~send_cap ~recv_cap g) (Sim.enabled p g)
 
 let search_single_raw (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000)
     ?allow_drops ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
@@ -709,12 +709,12 @@ let search_single_raw (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000)
   let r =
     Kernel.Bfs.search ~depth ~max_states ?mem_budget_bytes
       ~over_deadline:(make_deadline max_seconds) ~key:Global.emit
-      ~moves:
-        (single_moves ~allow_drops ~send_cap:max_sends_per_sender
-           ~recv_cap:max_sends_per_receiver p)
+      ~moves:(fun _ ->
+        single_moves ~allow_drops ~send_cap:max_sends_per_sender
+          ~recv_cap:max_sends_per_receiver p)
       ~step:(fun g m -> Some (Sim.apply p g m))
       ~code:(Move.code ~sa ~ra) ~decode:(Move.of_code ~sa ~ra)
-      ~goal:(fun g -> not (Global.safety_ok g))
+      ~goal:(fun _ g -> not (Global.safety_ok g))
       ~push_goal:true
       [ Global.initial p ~input:(Array.of_list x) ]
   in
@@ -861,8 +861,7 @@ let eligible_pairs ~xs =
   pairs xs
 
 let search p ~xs ?depth ?max_states ?allow_drops ?max_sends_per_sender
-    ?max_sends_per_receiver ?max_seconds ?jobs ?mem_budget_bytes ?stats ?(symm = false)
-    ?(swap_symm = true) () =
+    ?max_sends_per_receiver ?max_seconds ?jobs ?mem_budget_bytes ?stats ?(symm = false) () =
   let all_pairs = eligible_pairs ~xs in
   (* One transition store per distinct input, built up front and
      shared by every pair that input participates in: the α(m)² sweep
@@ -901,21 +900,15 @@ let search p ~xs ?depth ?max_states ?allow_drops ?max_sends_per_sender
            report is shaped exactly like the unquotiented sweep's, and
            the saved work is the whole point.  Stores are keyed by
            *canonical* inputs, which also overlap far more than raw
-           inputs do.  With [swap_symm] (the default) the quotient
-           composes with the run-swap symmetry: both orderings of a
-           pair share one representative, and members whose orientation
-           lost the canonical race get mirrored outcomes. *)
+           inputs do.  The quotient composes with the run-swap
+           symmetry: both orderings of a pair share one representative,
+           and members whose orientation lost the canonical race get
+           mirrored outcomes. *)
         let m = infer_m xs in
-        let canon x1 x2 =
-          if swap_symm then canon_pair_swap ~m x1 x2
-          else
-            let ckey, pi = Symm.canon_pair ~m x1 x2 in
-            (ckey, pi, false)
-        in
         let tagged =
           List.map
             (fun (x1, x2) ->
-              let ckey, pi, swapped = canon x1 x2 in
+              let ckey, pi, swapped = canon_pair_swap ~m x1 x2 in
               (x1, x2, ckey, pi, swapped))
             all_pairs
         in

@@ -234,6 +234,14 @@ val search_single :
     The witness's [x1 = x2 = x] and all moves are [Only1].  [symm]
     as in {!search_pair}. *)
 
+val single_keep :
+  allow_drops:bool -> send_cap:int -> recv_cap:int -> Kernel.Global.t -> Kernel.Move.t -> bool
+(** Whether a single-run search follows an enabled move from a state: a
+    wake only while that process has sent fewer than its cap, drops
+    only when [allow_drops], deliveries always, never a fault move.
+    {!Core.Spec.recoverability} filters with it directly, to see which
+    states had a move cut by a cap. *)
+
 val single_moves :
   allow_drops:bool ->
   send_cap:int ->
@@ -241,10 +249,8 @@ val single_moves :
   Kernel.Protocol.t ->
   Kernel.Global.t ->
   Kernel.Move.t list
-(** The enabled moves a single-run search follows from a state: a wake
-    only while that process has sent fewer than its cap, drops only
-    when [allow_drops], deliveries always, never a fault move.  Shared
-    by {!search_single} and {!Core.Stab.search}. *)
+(** The enabled moves {!single_keep} follows from a state.  Shared by
+    {!search_single} and {!Core.Stab.search}. *)
 
 val eligible_pairs : xs:int list list -> (int list * int list) list
 (** The unordered pairs of distinct sequences in [xs] where neither is
@@ -280,7 +286,6 @@ val search :
   ?mem_budget_bytes:int ->
   ?stats:Stats.t ->
   ?symm:bool ->
-  ?swap_symm:bool ->
   unit ->
   (int list * int list * outcome) list * witness option
 (** Runs {!search_pair} on every pair in [eligible_pairs ~xs].
@@ -300,13 +305,12 @@ val search :
     inverse permutation — the outcome list keeps exactly the
     unquotiented sweep's shape while up to m! of the pair searches
     are skipped.  Stores are then keyed by canonical inputs, which
-    collide (and so share) far more often than raw inputs.
-    [swap_symm] (default [true], meaningful only under [symm])
-    composes the run-swap symmetry into the quotient: both orderings
-    of a pair share one representative ({!canon_pair_swap}) and
-    members whose orientation lost the canonical race get mirrored
-    outcomes — sound because the joint system is run-exchange
-    symmetric (see DESIGN.md, "Out-of-core search").
+    collide (and so share) far more often than raw inputs.  The
+    quotient composes the run-swap symmetry too: both orderings of a
+    pair share one representative ({!canon_pair_swap}) and members
+    whose orientation lost the canonical race get mirrored outcomes —
+    sound because the joint system is run-exchange symmetric (see
+    DESIGN.md, "Out-of-core search").
     [mem_budget_bytes] and [stats] are threaded to every pair search
     as in {!search_pair}. *)
 

@@ -18,128 +18,80 @@ let recoverability (p : Protocol.t) ~input ?(depth = 80) ?(max_states = 200_000)
   let allow_drops =
     match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
   in
-  let keep (g : Global.t) = function
-    | Move.Wake_sender -> Chan.sent_total g.Global.chan_sr < max_sends_per_sender
-    | Move.Wake_receiver -> Chan.sent_total g.Global.chan_rs < max_sends_per_receiver
-    | Move.Drop_to_receiver _ | Move.Drop_to_sender _ -> allow_drops
-    | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ -> true
-    | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _
-    | Move.Corrupt_receiver _ ->
-        false
+  let keep =
+    Attack.single_keep ~allow_drops ~send_cap:max_sends_per_sender
+      ~recv_cap:max_sends_per_receiver
   in
-  (* Forward exploration, remembering each state's successors.  States
-     are keyed by interned ids of their binary fingerprints (emitted
-     into one reusable codec buffer), so the fingerprint bytes are
-     hashed once per generated state and the graph plumbing below —
-     successor lists, reversed edges, mark queues — is all over ints.
-     The send caps keep deleting channels finite but also hide
-     behaviours (a retransmitting sender is not really out of copies),
-     so states where the cap filtered a move are marked capped: they
-     and their ancestors must not be declared dead. *)
-  let intern = Stdx.Intern.create ~size:4096 () in
-  let scratch = Stdx.Codec.create ~size:256 () in
-  let gid g =
-    Stdx.Codec.reset scratch;
-    Global.emit scratch g;
-    fst
-      (Stdx.Intern.intern_bytes intern (Stdx.Codec.buffer scratch) ~pos:0
-         ~len:(Stdx.Codec.length scratch))
+  (* Forward exploration on the shared engine, which numbers the
+     visited states [0 .. states-1]; every mark below is a bitset over
+     those ids.  A state is expanded when its moves were generated,
+     and capped when some of its behaviour is hidden by a budget: the
+     send caps keep deleting channels finite but also filter moves (a
+     retransmitting sender is not really out of copies), and a
+     successor refused by [max_states] is unknown too.  Capped states
+     and their ancestors must not be declared dead.  Reverse edges are
+     kept per id for the backward pass. *)
+  let completed = Stdx.Bitset.create () and expanded = Stdx.Bitset.create () in
+  let capped = Stdx.Bitset.create () in
+  let set b i = ignore (Stdx.Bitset.add b i : bool) in
+  let preds = ref [||] in
+  let add_pred j i =
+    let n = Array.length !preds in
+    if j >= n then preds := Array.append !preds (Array.make (max (j + 1 - n) (n + 1024)) []);
+    !preds.(j) <- i :: !preds.(j)
   in
-  let nodes :
-      (int, Global.t * int list * bool (* fully expanded *) * bool (* capped *)) Hashtbl.t =
-    Hashtbl.create 4096
+  let sa = p.Protocol.sender_alphabet and ra = p.Protocol.receiver_alphabet in
+  let r =
+    Kernel.Bfs.search ~depth ~max_states ~key:Global.emit
+      ~moves:(fun i g ->
+        set expanded i;
+        let all = Sim.enabled p g in
+        let kept = List.filter (keep g) all in
+        if List.compare_lengths kept all < 0 then set capped i;
+        kept)
+      ~step:(fun g m -> Some (Sim.apply p g m))
+      ~edge:(fun i j -> if j < 0 then set capped i else add_pred j i)
+      ~code:(Move.code ~sa ~ra) ~decode:(Move.of_code ~sa ~ra)
+      ~goal:(fun i g ->
+        if Global.complete g then set completed i;
+        false)
+      ~push_goal:false
+      [ Global.initial p ~input:(Array.of_list input) ]
   in
-  (* (key, depth) pairs varint-packed into chunked buffers — no boxed
-     queue cells or tuples on the BFS hot path. *)
-  let queue = Stdx.Frontier.create () in
-  let g0 = Global.initial p ~input:(Array.of_list input) in
-  let key0 = gid g0 in
-  Hashtbl.replace nodes key0 (g0, [], false, false);
-  Stdx.Frontier.push2 queue key0 0;
-  let truncated = ref false in
-  while not (Stdx.Frontier.is_empty queue) do
-    let key, d = Stdx.Frontier.pop2 queue in
-    let g, _, _, _ = Hashtbl.find nodes key in
-    if d >= depth then truncated := true
-    else begin
-      let capped = ref false in
-      let succs =
-        List.filter_map
-          (fun move ->
-            if not (keep g move) then begin
-              capped := true;
-              None
-            end
-            else begin
-              let g' = Sim.apply p g move in
-              let key' = gid g' in
-              if not (Hashtbl.mem nodes key') then begin
-                if Hashtbl.length nodes >= max_states then begin
-                  truncated := true;
-                  None
-                end
-                else begin
-                  Hashtbl.replace nodes key' (g', [], false, false);
-                  Stdx.Frontier.push2 queue key' (d + 1);
-                  Some key'
-                end
-              end
-              else Some key'
-            end)
-          (Sim.enabled p g)
-      in
-      let _, _, _, was_capped = Hashtbl.find nodes key in
-      Hashtbl.replace nodes key (g, succs, true, was_capped || !capped)
-    end
-  done;
   (* Backward marking over reversed edges: which states can still
      complete, and which are tainted by a cap (they, or something they
      can reach, had behaviour hidden by the budget). *)
-  let preds : (int, int list) Hashtbl.t = Hashtbl.create 4096 in
-  Hashtbl.iter
-    (fun key (_, succs, _, _) ->
-      List.iter
-        (fun s ->
-          Hashtbl.replace preds s (key :: Option.value ~default:[] (Hashtbl.find_opt preds s)))
-        succs)
-    nodes;
-  (* Interned ids are dense, so each mark set is a bitset — one bit per
-     state instead of a unit hash table entry. *)
-  let mark seed_of =
-    let marked = Stdx.Bitset.create ~size:(Hashtbl.length nodes) () in
+  let mark seed =
+    let marked = Stdx.Bitset.create () in
     let q = Stdx.Frontier.create () in
-    Hashtbl.iter
-      (fun key node ->
-        if seed_of key node then begin
-          ignore (Stdx.Bitset.add marked key : bool);
-          Stdx.Frontier.push q key
-        end)
-      nodes;
+    let push i = if Stdx.Bitset.add marked i then Stdx.Frontier.push q i in
+    for i = 0 to r.Kernel.Bfs.states - 1 do
+      if seed i then push i
+    done;
     while not (Stdx.Frontier.is_empty q) do
-      let key = Stdx.Frontier.pop q in
-      List.iter
-        (fun p -> if Stdx.Bitset.add marked p then Stdx.Frontier.push q p)
-        (Option.value ~default:[] (Hashtbl.find_opt preds key))
+      let i = Stdx.Frontier.pop q in
+      if i < Array.length !preds then List.iter push !preds.(i)
     done;
     marked
   in
-  let can_complete = mark (fun _ (g, _, _, _) -> Global.complete g) in
-  let tainted = mark (fun _ (_, _, expanded, capped) -> capped || not expanded) in
-  let completed = ref 0 and dead = ref 0 and frontier = ref 0 in
-  Hashtbl.iter
-    (fun key (g, _, expanded, _) ->
-      if Global.complete g then incr completed;
-      if not expanded then incr frontier
-      else if
-        (not (Stdx.Bitset.mem can_complete key)) && not (Stdx.Bitset.mem tainted key)
-      then incr dead)
-    nodes;
+  let can_complete = mark (Stdx.Bitset.mem completed) in
+  let tainted =
+    mark (fun i -> Stdx.Bitset.mem capped i || not (Stdx.Bitset.mem expanded i))
+  in
+  let dead = ref 0 in
+  for i = 0 to r.states - 1 do
+    if
+      Stdx.Bitset.mem expanded i
+      && (not (Stdx.Bitset.mem can_complete i))
+      && not (Stdx.Bitset.mem tainted i)
+    then incr dead
+  done;
   {
-    states = Hashtbl.length nodes;
-    completed = !completed;
+    states = r.states;
+    completed = Stdx.Bitset.cardinal completed;
     dead = !dead;
-    frontier = !frontier;
-    closed = not !truncated;
+    frontier = r.states - Stdx.Bitset.cardinal expanded;
+    closed = r.closed;
   }
 
 let recoverable r = r.closed && r.dead = 0 && r.completed > 0

@@ -34,8 +34,9 @@ type recoverability = {
   dead : int;
       (** states from which completion is unreachable even though
           nothing about them was hidden by the exploration budget —
-          every state they can reach was fully expanded with no move
-          filtered by a send cap *)
+          every state they can reach was fully expanded, with no move
+          filtered by a send cap and no successor refused by
+          [max_states] *)
   frontier : int;  (** states cut off by the depth/state budget (unknown status) *)
   closed : bool;  (** the graph was exhausted: [dead] is exact, not a lower bound *)
 }
@@ -50,9 +51,10 @@ val recoverability :
   ?allow_drops:bool ->
   unit ->
   recoverability
-(** Forward BFS under the same send caps as the attack search (so
-    deleting channels stay finite), then backward marking from the
-    completed states.  Defaults mirror {!Attack.search_pair}. *)
+(** Forward BFS on {!Kernel.Bfs} under the same send caps as the
+    attack search (so deleting channels stay finite), then backward
+    marking from the completed states.  Defaults mirror
+    {!Attack.search_pair}. *)
 
 val recoverable : recoverability -> bool
 (** [closed], no dead states, and completion reachable at all. *)

@@ -110,13 +110,13 @@ let search ?(depth = 200) ?(max_states = 200_000) ?(allow_drops = true)
      is the clean boot (the perturb contract), so it takes id 0. *)
   let res =
     Kernel.Bfs.search ~depth ~max_states ?mem_budget_bytes ~key:Global.emit_run_key
-      ~moves:
-        (Attack.single_moves ~allow_drops ~send_cap:max_sends_per_sender
-           ~recv_cap:max_sends_per_receiver p)
+      ~moves:(fun _ ->
+        Attack.single_moves ~allow_drops ~send_cap:max_sends_per_sender
+          ~recv_cap:max_sends_per_receiver p)
       ~step:(fun g m ->
         match Sim.apply p g m with exception Sim.Model_violation _ -> None | g' -> Some g')
       ~code:(Move.code ~sa ~ra) ~decode:(Move.of_code ~sa ~ra)
-      ~goal:(fun g -> not (Global.safety_ok g))
+      ~goal:(fun _ g -> not (Global.safety_ok g))
       ~push_goal:false
       (List.map
          (fun (s, r) -> Global.initial ~sender:s.Protocol.proc ~receiver:r.Protocol.proc p ~input)

@@ -8,8 +8,10 @@ module Protocol = Kernel.Protocol
    a grid of alphabet sizes and input lengths and reports the
    worst-case time-to-stabilise curve — the scaling data behind the
    claim that absolute resync converges in O(round trips) while
-   pipelining (gbn-stab) flattens the growth.  The negative half runs
-   the capped corrupted-root BFS against each stock family: every
+   pipelining (gbn-stab) flattens the growth.  abp-stab and
+   stenning-stab are one machine on different default channels, so
+   the gap between their curves is the channel's.  The negative half
+   runs the capped corrupted-root BFS against each stock family: every
    bounded-counter protocol that aliases sequence numbers (or counts
    in unary) yields a replayable violation witness, while stock
    Stenning — unbounded headers, forward-only acks — is the control
@@ -36,7 +38,7 @@ let curve ~within ~max_steps ~domains ~lens ~window =
     [
       ("abp-stab", fun ~domain ~max_len -> Protocols.Abp_stab.protocol ~domain ~max_len);
       ( "stenning-stab",
-        fun ~domain ~max_len -> Protocols.Stenning_stab.protocol ~domain ~max_len );
+        fun ~domain ~max_len -> Protocols.Abp_stab.stenning_protocol ~domain ~max_len );
       ( "gbn-stab",
         fun ~domain ~max_len -> Protocols.Gbn_stab.protocol ~domain ~max_len ~window );
     ]

@@ -5,6 +5,8 @@
     stenning-stab, gbn-stab) over its declared corrupted-start space
     on a grid of alphabet sizes and input lengths and reports the
     worst-case time-to-stabilise curves — every point must converge.
+    abp-stab and stenning-stab are one machine ({!Protocols.Abp_stab})
+    on different default channels, so their curves differ by channel.
     The negative half runs the capped corrupted-root BFS
     ({!Core.Stab.search}) against each stock family: abp,
     stenning-mod, go-back-n, selective-repeat, and ladder each yield

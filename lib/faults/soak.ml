@@ -81,7 +81,7 @@ let corrupt ~at ~who ~index = Plan.Corrupt_state { at; who; index }
 
 let stab_battery ?(random_plans = 2) ~seed () =
   let abp_stab = Protocols.Abp_stab.protocol ~domain:2 ~max_len:4 in
-  let stn_stab = Protocols.Stenning_stab.protocol ~domain:2 ~max_len:4 in
+  let stn_stab = Protocols.Abp_stab.stenning_protocol ~domain:2 ~max_len:4 in
   let gbn_stab = Protocols.Gbn_stab.protocol ~domain:2 ~max_len:4 ~window:2 in
   let abp = Protocols.Abp.protocol ~domain:2 in
   let input = [| 0; 1; 1; 0 |] in

@@ -5,8 +5,9 @@ type 'm result = {
   frontier : Stdx.Frontier.stats;
 }
 
-(* Per-id columns.  Ids of successors refused by the state budget get
-   slots they never use. *)
+(* Per-id columns.  Visited states take ids 0 .. states-1: a refusal
+   only happens once the budget is spent, so the ids interned for
+   refused successors come after every visited one and get no slot. *)
 type 's columns = {
   mutable parent : int array;  (* parent id; -1 at a root *)
   mutable code : int array;  (* move code from the parent; root index at a root *)
@@ -28,7 +29,7 @@ let ensure c i =
   end
 
 let search ~depth ~max_states ?mem_budget_bytes ?(over_deadline = fun () -> false)
-    ~key ~moves ~step ~code ~decode ~goal ~push_goal roots =
+    ?edge ~key ~moves ~step ~code ~decode ~goal ~push_goal roots =
   let intern = Stdx.Intern.create ~size:64 () in
   let scratch = Stdx.Codec.create ~size:256 () in
   let id s =
@@ -51,7 +52,7 @@ let search ~depth ~max_states ?mem_budget_bytes ?(over_deadline = fun () -> fals
     cols.parent.(i) <- parent;
     cols.code.(i) <- via;
     incr states;
-    let hit = goal s in
+    let hit = goal i s in
     if hit then found := Some i;
     if push_goal || not hit then begin
       cols.live.(i) <- Some s;
@@ -92,10 +93,19 @@ let search ~depth ~max_states ?mem_budget_bytes ?(over_deadline = fun () -> fals
               | None -> ()
               | Some s' ->
                   let i' = id s' in
-                  if Stdx.Bitset.add visited i' then
-                    if !states >= max_states then truncated := true
-                    else visit i' s' ~parent:i ~via:(code m))
-          (moves s)
+                  let fresh = Stdx.Bitset.add visited i' in
+                  (* A refused id leaves the visited set, so the next
+                     edge to it is refused (and reported) again. *)
+                  let refused = fresh && !states >= max_states in
+                  if refused then begin
+                    truncated := true;
+                    Stdx.Bitset.remove visited i'
+                  end
+                  else if fresh then visit i' s' ~parent:i ~via:(code m);
+                  match edge with
+                  | Some f -> f i (if refused then -1 else i')
+                  | None -> ())
+          (moves i s)
     end
   done;
   let rec unwind i acc =

@@ -1,10 +1,12 @@
 (** One single-run breadth-first search over interned state keys.
 
-    The engine behind {!Core.Attack.search_single} (one root) and
-    {!Core.Stab.search} (one root per corrupted start).  Each generated
-    state is emitted by the caller's [key] into a reusable codec buffer
-    and hash-consed ({!Stdx.Intern.intern_bytes}) into a dense id, in
-    first-seen order.  Per visited state the engine keeps:
+    The engine behind {!Core.Attack.search_single} (one root),
+    {!Core.Stab.search} (one root per corrupted start) and the forward
+    pass of {!Core.Spec.recoverability} (one root, every edge reported
+    to the caller).  Each generated state is emitted by the caller's
+    [key] into a reusable codec buffer and hash-consed
+    ({!Stdx.Intern.intern_bytes}) into a dense id, in first-seen order.
+    Per visited state the engine keeps:
     - its interned key bytes;
     - its parent id and the code of the move that reached it, in int
       arrays indexed by id;
@@ -33,23 +35,32 @@ val search :
   max_states:int ->
   ?mem_budget_bytes:int ->
   ?over_deadline:(unit -> bool) ->
+  ?edge:(int -> int -> unit) ->
   key:(Stdx.Codec.t -> 's -> unit) ->
-  moves:('s -> 'm list) ->
+  moves:(int -> 's -> 'm list) ->
   step:('s -> 'm -> 's option) ->
   code:('m -> int) ->
   decode:(int -> 'm) ->
-  goal:('s -> bool) ->
+  goal:(int -> 's -> bool) ->
   push_goal:bool ->
   's list ->
   'm result
 (** [search ~depth ~max_states ... roots] visits the roots in order
     (duplicates by key count once), then expands states level by level:
-    [moves s] in order, each stepped by [step s m] ([None] is no
+    [moves i s] in order, each stepped by [step s m] ([None] is no
     successor), until a state satisfies [goal] or the frontier drains.
-    A goal state ends the search at once; it is still queued when
-    [push_goal] holds, which only shows in the frontier counters.
+    [i] is the state's id: visited states are numbered [0 .. states-1]
+    in visiting order, so callers can keep their own per-state marks in
+    int-indexed tables.  [goal] is asked once per visited
+    state; a goal state ends the search at once, and it is still
+    queued when [push_goal] holds, which only shows in the frontier
+    counters.
 
-    States at level [depth] are not expanded, and no state is visited
-    past the [max_states]th; either cut, or [over_deadline ()] turning
-    true before a pop, makes the search not [closed].  [code]/[decode]
-    map moves to the non-negative ints stored per state and back. *)
+    States at level [depth] are not expanded ([moves] is never asked
+    for them), and no state is visited past the [max_states]th; either
+    cut, or [over_deadline ()] turning true before a pop, makes the
+    search not [closed].  [edge i j] reports every successor generated
+    while expanding [i]: [j] is its id, or [-1] when the state budget
+    refused it.  A refused state is not marked visited, so a later edge
+    to it is refused and reported again.  [code]/[decode] map moves to
+    the non-negative ints stored per state and back. *)

@@ -1,37 +1,11 @@
-(** Exhaustive exploration of the run space.
+(** Exhaustive enumeration of the run space.
 
     For small instances the entire truncated system — every adversary
     choice at every step, up to a depth bound — can be enumerated.
-    [reachable] computes the reachable global-state graph with
-    memoisation (channel states saturate on reorder+dup channels, so
-    this converges quickly); [iter_runs] enumerates complete move
-    sequences, which the knowledge layer turns into an *exact* point
-    universe for the truncated system. *)
-
-type stats = {
-  states : int;  (** distinct reachable states (by {!Global.encode}) *)
-  transitions : int;
-  safety_violations : int;  (** reachable states violating Safety *)
-  complete_states : int;  (** reachable states with [Y = X] *)
-  truncated : bool;  (** the [max_states] budget cut the BFS short *)
-}
-
-val reachable :
-  Protocol.t ->
-  input:int array ->
-  depth:int ->
-  ?move_filter:(Global.t -> Move.t -> bool) ->
-  ?max_states:int ->
-  ?starts:Global.t list ->
-  unit ->
-  stats
-(** BFS over distinct states to the given depth.  [max_states] is a
-    resource guard: when the seen-set reaches it, no further fresh
-    states are recorded and the partial statistics come back with
-    [truncated = true].  [starts] replaces the designated initial
-    state with an explicit list of roots, all at depth 0 — the
-    corrupted-start sweep measures the union space of a whole
-    perturb enumeration in one BFS (duplicate roots dedup). *)
+    [iter_runs] enumerates complete move sequences, which the knowledge
+    layer turns into an *exact* point universe for the truncated
+    system.  Breadth-first searches over distinct states run on
+    {!Bfs}. *)
 
 val iter_runs :
   Protocol.t ->

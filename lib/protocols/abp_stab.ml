@@ -26,9 +26,11 @@ let sender_step s event =
   | Event.Deliver ack ->
       (* The ack is the receiver's written count: adopt it wholesale
          (clamped to the input length).  Unlike ABP's relative bit
-         flip, the absolute resync is what makes the protocol
-         stabilising — any corrupted cursor is overwritten by the first
-         ack that arrives. *)
+         flip, or stock Stenning's forward-only rule, the absolute
+         resync is what makes the protocol stabilising — any corrupted
+         cursor is overwritten by the first ack that arrives.  Over a
+         reordering channel a stale ack can drag the cursor backwards,
+         costing retransmits but never safety. *)
       if ack >= 0 && ack <= n then ({ s with cursor = ack }, []) else (s, [])
 
 type receiver_state = {
@@ -47,11 +49,27 @@ let receiver_step r event =
       else ({ r with started = true }, [ Action.Send r.written ])
   | Event.Wake -> if r.started then (r, [ Action.Send r.written ]) else (r, [])
 
-let protocol_on channel ~domain ~max_len =
+(* The two registered names are one machine.  What tells them apart
+   is data: the name, the word for the sender's register in
+   corrupted-start labels, how far that enumeration runs, and the
+   default channel. *)
+type variant = {
+  family : string;
+  register : string;
+  whole_register : bool;  (* corrupt cursors 0..max_len, else 0..|input| *)
+  home : Channel.Chan.kind;
+}
+
+let abp = { family = "abp-stab"; register = "cursor"; whole_register = true; home = Fifo_lossy }
+
+let stenning =
+  { family = "stenning-stab"; register = "next"; whole_register = false; home = Reorder_del }
+
+let make v channel ~domain ~max_len =
   {
     Protocol.name =
-      Printf.sprintf "abp-stab(d=%d,n<=%d,%s)" domain max_len (Channel.Chan.kind_name channel);
-    sender_alphabet = max_len * domain;
+      Printf.sprintf "%s(d=%d,n<=%d,%s)" v.family domain max_len (Channel.Chan.kind_name channel);
+    sender_alphabet = max 1 (max_len * domain);
     receiver_alphabet = max_len + 1;
     channel;
     make_sender =
@@ -73,23 +91,25 @@ let protocol_on channel ~domain ~max_len =
           on_receiver_msg = (fun _ count -> count);
         };
     (* The corrupted-start space: every cursor position the sender's
-       register can hold (including past-the-end values a fault can
-       fabricate) and the receiver's started flag.  The receiver's
-       written count is excluded by the {!Protocol.perturb} convention
-       — it mirrors the append-only output tape, which the corruption
-       model cannot touch.  Safety survives every point (writes are
-       gated on an exact index match against the true count, and the
-       sender only ever sends truthful (i, x_i) pairs), and the first
-       ack resyncs any cursor, so the sweep shows a finite worst-case
-       time-to-stabilise where stock ABP exhibits a violation. *)
+       register can hold (with [whole_register], including past-the-end
+       values a fault can fabricate) and the receiver's started flag.
+       The receiver's written count is excluded by the
+       {!Protocol.perturb} convention — it mirrors the append-only
+       output tape, which the corruption model cannot touch.  Safety
+       survives every point (writes are gated on an exact index match
+       against the true count, and the sender only ever sends truthful
+       (i, x_i) pairs), and the first ack resyncs any cursor, so the
+       sweep shows a finite worst-case time-to-stabilise where stock
+       ABP exhibits a violation and stock Stenning deadlocks. *)
     perturb =
       Some
         {
           Protocol.sender_states =
             (fun ~input ->
-              List.init (max_len + 1) (fun cursor ->
+              let top = if v.whole_register then max_len else Array.length input in
+              List.init (top + 1) (fun cursor ->
                   {
-                    Protocol.label = Printf.sprintf "S:cursor=%d" cursor;
+                    Protocol.label = Printf.sprintf "S:%s=%d" v.register cursor;
                     proc = Proc.make ~state:{ input; domain; cursor } ~step:sender_step ();
                   }));
           receiver_states =
@@ -97,8 +117,7 @@ let protocol_on channel ~domain ~max_len =
               List.map
                 (fun started ->
                   {
-                    Protocol.label =
-                      (if started then "R:started" else "R:fresh");
+                    Protocol.label = (if started then "R:started" else "R:fresh");
                     proc =
                       Proc.make
                         ~state:{ r_domain = domain; written; started }
@@ -108,11 +127,18 @@ let protocol_on channel ~domain ~max_len =
         };
   }
 
-let protocol ~domain ~max_len = protocol_on Channel.Chan.Fifo_lossy ~domain ~max_len
+let protocol_on = make abp
+let protocol ~domain ~max_len = make abp abp.home ~domain ~max_len
+let stenning_protocol ~domain ~max_len = make stenning stenning.home ~domain ~max_len
 
 let () =
-  Kernel.Registry.register_protocol ~name:"abp-stab"
-    ~doc:"self-stabilising indexed ABP (absolute resync)" (fun cfg ->
-      Ok
-        (protocol_on cfg.Kernel.Registry.channel ~domain:cfg.Kernel.Registry.domain
-           ~max_len:cfg.Kernel.Registry.max_len))
+  List.iter
+    (fun (v, doc) ->
+      Kernel.Registry.register_protocol ~name:v.family ~doc (fun cfg ->
+          Ok
+            (make v cfg.Kernel.Registry.channel ~domain:cfg.Kernel.Registry.domain
+               ~max_len:cfg.Kernel.Registry.max_len)))
+    [
+      (abp, "self-stabilising indexed ABP (absolute resync)");
+      (stenning, "self-stabilising Stenning (absolute resync over reordering)");
+    ]

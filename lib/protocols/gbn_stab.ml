@@ -18,7 +18,7 @@ let sender_step s event =
   | Event.Wake ->
       if n = 0 then (s, [])
       else if s.base >= n then
-        (* Keep-alive past the end (cf. {!Stenning_stab}): poke the
+        (* Keep-alive past the end (cf. {!Abp_stab}): poke the
            receiver so a corrupted base cannot go quiescent. *)
         (s, [ Action.Send (encode_msg ~domain:s.domain ~index:(n - 1) ~data:s.input.(n - 1)) ])
       else begin
@@ -82,7 +82,7 @@ let protocol_on channel ~domain ~max_len ~window =
     (* The corrupted-start space: every window base (cursor re-anchored
        to it) and the receiver's started flag; the receiver's [written]
        mirrors the tape and is anchored by the {!Protocol.perturb}
-       convention.  Same resync argument as {!Stenning_stab} — writes
+       convention.  Same resync argument as {!Abp_stab} — writes
        are gated on an exact index match, the first ack repositions any
        base — but the window pipelines up to [window] frames per round
        trip, so the stabilisation-time curve grows measurably slower

@@ -12,7 +12,7 @@
     acknowledgements carry the receiver's absolute written count, the
     sender adopts every ack wholesale and keeps retransmitting the
     last item past the end as a keep-alive.  Unlike the stop-and-wait
-    stabilisers ({!Abp_stab}, {!Stenning_stab}) the sender still
+    stabiliser ({!Abp_stab}: abp-stab, stenning-stab) the sender still
     pipelines up to [window] outstanding frames, so worst-case
     time-to-stabilise grows measurably slower with the input length —
     the scaling contrast E17's curves are built to show. *)

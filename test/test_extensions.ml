@@ -291,6 +291,32 @@ let test_spec_empty_input_trivially_recoverable () =
   check Alcotest.bool "recoverable" true (Core.Spec.recoverable r);
   check Alcotest.bool "initial state already complete" true (r.Core.Spec.completed > 0)
 
+(* Exact pins, one per way a run can end: closed, cut by depth
+   (frontier > 0), cut by the state budget.  A successor refused by the
+   budget hides behaviour just like a send cap, so it taints its parent:
+   the budget-cut runs report no dead states where the closed run has
+   none, while counting-resend keeps its real dead states. *)
+let test_spec_pins () =
+  let pin name expect p ~input ?depth ?max_states () =
+    check Alcotest.string name expect
+      (Format.asprintf "%a" Core.Spec.pp_recoverability
+         (Core.Spec.recoverability p ~input ?depth ?max_states ()))
+  in
+  let abp c = Protocols.Abp.protocol_on c ~domain:2 in
+  let resend = Protocols.Counting.resend Chan.Reorder_del ~domain:2 in
+  pin "closed" "3238 states (1793 completed, 0 dead, 0 frontier, closed)" (abp Chan.Perfect)
+    ~input:[ 0; 1 ] ();
+  pin "depth cut" "590 states (90 completed, 0 dead, 268 frontier, truncated)"
+    (abp Chan.Reorder_del) ~input:[ 0; 1; 1 ] ~depth:10 ~max_states:2000 ();
+  pin "budget cut, perfect" "50 states (5 completed, 0 dead, 0 frontier, truncated)"
+    (abp Chan.Perfect) ~input:[ 0; 1 ] ~max_states:50 ();
+  pin "budget cut, del" "300 states (125 completed, 0 dead, 0 frontier, truncated)"
+    (abp Chan.Reorder_del) ~input:[ 0; 1 ] ~depth:12 ~max_states:300 ();
+  pin "counting-resend closed" "13480 states (2288 completed, 3070 dead, 0 frontier, closed)"
+    resend ~input:[ 0; 1 ] ();
+  pin "counting-resend budget cut" "300 states (112 completed, 5 dead, 0 frontier, truncated)"
+    resend ~input:[ 0; 1 ] ~depth:12 ~max_states:300 ()
+
 (* ------------------------- Census ------------------------- *)
 
 let test_census_control () =
@@ -355,6 +381,7 @@ let () =
           Alcotest.test_case "no drops, no deaths" `Quick test_spec_no_drops_rescues_oneshot;
           Alcotest.test_case "receiver deterministic" `Quick test_spec_receiver_deterministic;
           Alcotest.test_case "empty input" `Quick test_spec_empty_input_trivially_recoverable;
+          Alcotest.test_case "exact pins" `Quick test_spec_pins;
         ] );
       ( "census",
         [

@@ -358,14 +358,6 @@ let test_stab_battery_jobs_invariant () =
 
 (* ------------------------- resource guards ------------------------- *)
 
-let test_explore_state_budget () =
-  let p = Protocols.Abp.protocol ~domain:2 in
-  let full = Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:10 () in
-  let capped = Kernel.Explore.reachable p ~input:[| 0; 1 |] ~depth:10 ~max_states:5 () in
-  check Alcotest.bool "full not truncated" false full.Kernel.Explore.truncated;
-  check Alcotest.bool "capped truncated" true capped.Kernel.Explore.truncated;
-  check Alcotest.bool "budget respected" true (capped.Kernel.Explore.states <= 5)
-
 let test_attack_wall_budget () =
   let p = Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:2 in
   match Core.Attack.search_pair p ~x1:[ 0; 1 ] ~x2:[ 1; 0 ] ~max_seconds:0.0 () with
@@ -517,7 +509,6 @@ let () =
         ] );
       ( "guards",
         [
-          Alcotest.test_case "explore state budget" `Quick test_explore_state_budget;
           Alcotest.test_case "attack wall budget" `Quick test_attack_wall_budget;
           Alcotest.test_case "runner wall budget" `Quick test_runner_wall_budget;
         ] );

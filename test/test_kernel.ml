@@ -416,13 +416,6 @@ let test_trace_view_prefix_property () =
 
 (* ------------------------- Explore ------------------------- *)
 
-let test_explore_reachable_tiny () =
-  let p = tiny Chan.Perfect in
-  let stats = Explore.reachable p ~input:[| 1 |] ~depth:10 () in
-  check Alcotest.bool "some states" true (stats.Explore.states > 1);
-  check Alcotest.int "no violations" 0 stats.Explore.safety_violations;
-  check Alcotest.bool "completion reachable" true (stats.Explore.complete_states > 0)
-
 let test_explore_iter_runs_counts () =
   let p = tiny Chan.Perfect in
   let count = ref 0 in
@@ -517,16 +510,17 @@ let test_move_code_roundtrip () =
     | _ -> false)
 
 (* A toy space for the engine: ints up to 20 under +1 and *2. *)
-let toy_search ?(depth = 100) ?(max_states = 100) ?(goal = fun _ -> false) roots =
-  Bfs.search ~depth ~max_states
+let toy_search ?(depth = 100) ?(max_states = 100) ?(goal = fun _ -> false) ?edge roots =
+  Bfs.search ~depth ~max_states ?edge
     ~key:(fun c n -> Stdx.Codec.add_varint c n)
-    ~moves:(fun _ -> [ `Inc; `Dbl ])
+    ~moves:(fun _ _ -> [ `Inc; `Dbl ])
     ~step:(fun n m ->
       let n' = match m with `Inc -> n + 1 | `Dbl -> 2 * n in
       if n' > 20 then None else Some n')
     ~code:(function `Inc -> 0 | `Dbl -> 1)
     ~decode:(function 0 -> `Inc | _ -> `Dbl)
-    ~goal ~push_goal:false roots
+    ~goal:(fun _ n -> goal n)
+    ~push_goal:false roots
 
 let test_bfs_budgets () =
   let shape (r : _ Bfs.result) = (r.Bfs.closed, r.Bfs.states) in
@@ -535,6 +529,25 @@ let test_bfs_budgets () =
   check pair "duplicate roots count once" (true, 20) (shape (toy_search [ 1; 1 ]));
   check pair "depth cut" (false, 4) (shape (toy_search ~depth:2 [ 1 ]));
   check pair "state budget" (false, 3) (shape (toy_search ~max_states:3 [ 1 ]))
+
+let test_bfs_edges () =
+  let edges ?max_states () =
+    let acc = ref [] in
+    ignore (toy_search ?max_states ~edge:(fun i j -> acc := (i, j) :: !acc) [ 1 ]);
+    List.rev !acc
+  in
+  (* Closed: every generated successor is an edge, repeats included
+     (1 -> 2 twice), and none is refused. *)
+  let closed = edges () in
+  check Alcotest.int "one edge per successor" 29 (List.length closed);
+  check Alcotest.(list (pair int int)) "first edges" [ (0, 1); (0, 1); (1, 2); (1, 3) ]
+    (List.filteri (fun k _ -> k < 4) closed);
+  (* Budget 3 visits 1, 2, 3.  The refused 4 is generated from 2 (by
+     doubling) and again from 3 (by incrementing): both are reported
+     refused, because a refused id does not stay visited. *)
+  check Alcotest.(list (pair int int)) "refusals reported every time"
+    [ (0, 1); (0, 1); (1, 2); (1, -1); (2, -1); (2, -1) ]
+    (edges ~max_states:3 ())
 
 let test_bfs_witness () =
   let goal n = n = 13 in
@@ -596,7 +609,6 @@ let () =
         ] );
       ( "explore",
         [
-          Alcotest.test_case "reachable" `Quick test_explore_reachable_tiny;
           Alcotest.test_case "iter_runs" `Quick test_explore_iter_runs_counts;
           Alcotest.test_case "max_runs cap" `Quick test_explore_max_runs;
           Alcotest.test_case "no_drops filter" `Quick test_explore_no_drops_filter;
@@ -608,5 +620,6 @@ let () =
           Alcotest.test_case "move codes round-trip" `Quick test_move_code_roundtrip;
           Alcotest.test_case "budgets" `Quick test_bfs_budgets;
           Alcotest.test_case "witness" `Quick test_bfs_witness;
+          Alcotest.test_case "edges and refusals" `Quick test_bfs_edges;
         ] );
     ]

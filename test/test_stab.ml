@@ -1,12 +1,11 @@
 (* Tests for the self-stabilisation layer: the perturb seam and its
-   validation, corrupt moves through the simulator, multi-root
-   exploration, and the Core.Stab sweep/search pair. *)
+   validation, corrupt moves through the simulator, and the Core.Stab
+   sweep/search pair. *)
 
 module Protocol = Kernel.Protocol
 module Global = Kernel.Global
 module Move = Kernel.Move
 module Sim = Kernel.Sim
-module Explore = Kernel.Explore
 module Stab = Core.Stab
 module Runstate = Core.Attack.Runstate
 
@@ -95,24 +94,6 @@ let test_runstate_rejects_corrupt_transitions () =
     (match Runstate.apply rs g id (Move.Corrupt_sender 1) with
     | exception Invalid_argument _ -> true
     | _ -> false)
-
-(* ------------------------- multi-root explore ------------------------- *)
-
-let test_explore_multi_root () =
-  let p = stab_p () in
-  let input = [| 0; 1 |] in
-  let single = Explore.reachable p ~input ~depth:8 () in
-  let starts =
-    List.map
-      (fun (s, r) -> Global.initial ~sender:s.Protocol.proc ~receiver:r.Protocol.proc p ~input)
-      (Stab.space p ~input)
-  in
-  let multi = Explore.reachable p ~input ~depth:8 ~starts () in
-  check Alcotest.bool "union space at least as large" true
-    (multi.Explore.states >= single.Explore.states);
-  (* Duplicate roots dedup down to the single-root space. *)
-  let dup = Explore.reachable p ~input ~depth:8 ~starts:[ Global.initial p ~input; Global.initial p ~input ] () in
-  check Alcotest.int "duplicate roots dedup" single.Explore.states dup.Explore.states
 
 (* ------------------------- sweep ------------------------- *)
 
@@ -216,7 +197,7 @@ let test_search_mem_budget_identity () =
     [
       ("abp-stab", stab_p (), 23_710, (8859, 2953));
       ( "stenning-stab",
-        Protocols.Stenning_stab.protocol ~domain:2 ~max_len:4,
+        Protocols.Abp_stab.stenning_protocol ~domain:2 ~max_len:4,
         87_337,
         (38_991, 12_997) );
       ("gbn-stab", Protocols.Gbn_stab.protocol ~domain:2 ~max_len:4 ~window:2, 24_499, (9405, 3135));
@@ -300,7 +281,7 @@ let families () =
       input4,
       Some (5, 2) );
     ( "stenning-stab",
-      Protocols.Stenning_stab.protocol ~domain:2 ~max_len:4,
+      Protocols.Abp_stab.stenning_protocol ~domain:2 ~max_len:4,
       input4,
       Some (5, 2) );
     ("go-back-n", Protocols.Go_back_n.protocol ~domain:2 ~window:2, input4, Some (5, 3));
@@ -440,7 +421,7 @@ let test_stabilising_families_close () =
       | Stab.No_violation { closed; _ } -> check Alcotest.bool (name ^ " closed") true closed
       | Stab.Violation _ -> Alcotest.failf "%s must have no reachable violation" name)
     [
-      ("stenning-stab", Protocols.Stenning_stab.protocol ~domain:2 ~max_len:4);
+      ("stenning-stab", Protocols.Abp_stab.stenning_protocol ~domain:2 ~max_len:4);
       ("gbn-stab", Protocols.Gbn_stab.protocol ~domain:2 ~max_len:4 ~window:2);
     ]
 
@@ -500,8 +481,6 @@ let () =
           Alcotest.test_case "never enabled" `Quick test_corrupt_never_enabled;
           Alcotest.test_case "runstate rejects" `Quick test_runstate_rejects_corrupt_transitions;
         ] );
-      ( "explore",
-        [ Alcotest.test_case "multi-root union" `Quick test_explore_multi_root ] );
       ( "sweep",
         [
           Alcotest.test_case "stabilises with pinned worst tts" `Quick test_sweep_stabilises;

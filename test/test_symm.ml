@@ -81,8 +81,8 @@ let test_canon_rejects_out_of_domain () =
 (* ------------------------- engine equivariance ------------------------- *)
 
 (* Relabelling the input of an equivariant protocol relabels the whole
-   reachable state graph: same state count, same transition count, same
-   completion structure. *)
+   reachable state graph: same state count, same completion structure,
+   same dead states and depth frontier. *)
 let prop_reachable_equivariant =
   QCheck.Test.make ~count:20 ~name:"reachable stats invariant under relabelling"
     QCheck.(pair (list_of_size Gen.(1 -- 3) (int_range 0 2)) small_int)
@@ -90,9 +90,7 @@ let prop_reachable_equivariant =
       let p = Protocols.Norep.dup ~m:3 in
       let a = Array.init 3 Fun.id in
       Stdx.Rng.shuffle (Stdx.Rng.create seed) a;
-      let stats input =
-        Kernel.Explore.reachable p ~input:(Array.of_list input) ~depth:6 ()
-      in
+      let stats input = Core.Spec.recoverability p ~input ~depth:6 () in
       stats x = stats (Symm.apply_seq a x))
 
 let strip = function
@@ -233,18 +231,14 @@ let test_orbit_reduction_counts () =
 let test_swap_sweep_matches_plain () =
   let p = Protocols.Norep.del ~m:3 in
   let xs = Seqspace.Norep.enumerate ~m:3 in
-  let run ~symm ~swap_symm =
+  let run ~symm =
     let outcomes, _ =
-      Attack.search p ~xs ~depth:200 ~max_sends_per_sender:3 ~max_sends_per_receiver:3
-        ~symm ~swap_symm ()
+      Attack.search p ~xs ~depth:200 ~max_sends_per_sender:3 ~max_sends_per_receiver:3 ~symm ()
     in
     List.map (fun (a, b, o) -> (a, b, strip o)) outcomes
   in
-  let plain = run ~symm:false ~swap_symm:true in
   check Alcotest.bool "composed quotient = plain sweep" true
-    (run ~symm:true ~swap_symm:true = plain);
-  check Alcotest.bool "perm-only quotient = plain sweep" true
-    (run ~symm:true ~swap_symm:false = plain)
+    (run ~symm:true = run ~symm:false)
 
 let test_swap_sweep_witness_parity () =
   (* Witness outcomes survive the mirror: a sweep whose pairs include
