@@ -449,11 +449,11 @@ let run_micro ?json ?filter ~quota () =
     |> List.map (fun name -> (name, estimate clock_results name, estimate minor_results name))
   in
   let t =
-    Stdx.Tabular.create ~title:"per iteration"
+    Stdx.Report.table ~title:"per iteration"
       [
-        ("benchmark", Stdx.Tabular.Left);
-        ("time", Stdx.Tabular.Right);
-        ("minor words", Stdx.Tabular.Right);
+        ("benchmark", Stdx.Report.Left);
+        ("time", Stdx.Report.Right);
+        ("minor words", Stdx.Report.Right);
       ]
   in
   let pretty ns =
@@ -470,9 +470,13 @@ let run_micro ?json ?filter ~quota () =
     else Printf.sprintf "%.0f" w
   in
   List.iter
-    (fun (name, ns, mw) -> Stdx.Tabular.add_row t [ name; pretty ns; pretty_words mw ])
+    (fun (name, ns, mw) ->
+      Stdx.Report.row t (List.map Stdx.Report.str [ name; pretty ns; pretty_words mw ]))
     rows;
-  Stdx.Tabular.print t;
+  print_string
+    (Stdx.Report.to_text_body
+       (Stdx.Report.make ~id:"bench" ~title:"micro-benchmarks" [ Stdx.Report.finish t ]));
+  print_newline ();
   Option.iter (fun path -> write_json path ~quota rows) json
 
 let () =

@@ -148,17 +148,17 @@ let () =
     Hashtbl.fold (fun k _ acc -> k :: acc) base_ns [] |> List.sort String.compare
   in
   let t =
-    Stdx.Tabular.create
+    Stdx.Report.table
       ~title:
         (Printf.sprintf "perf gate: %s vs %s (tolerance %.0f%%)" baseline_path latest_path
            !tolerance)
       [
-        ("benchmark", Stdx.Tabular.Left);
-        ("baseline", Stdx.Tabular.Right);
-        ("latest", Stdx.Tabular.Right);
-        ("time", Stdx.Tabular.Right);
-        ("minor words", Stdx.Tabular.Right);
-        ("verdict", Stdx.Tabular.Left);
+        ("benchmark", Stdx.Report.Left);
+        ("baseline", Stdx.Report.Right);
+        ("latest", Stdx.Report.Right);
+        ("time", Stdx.Report.Right);
+        ("minor words", Stdx.Report.Right);
+        ("verdict", Stdx.Report.Left);
       ]
   in
   let pretty ns =
@@ -176,6 +176,7 @@ let () =
     | None -> "n/a"
     | Some d -> Printf.sprintf "%+.1f%%" d
   in
+  let add_row cells = Stdx.Report.row t (List.map Stdx.Report.str cells) in
   let regressions = ref 0 and improvements = ref 0 and missing = ref 0 in
   List.iter
     (fun name ->
@@ -183,7 +184,7 @@ let () =
       match Hashtbl.find_opt new_ns name with
       | None ->
           incr missing;
-          Stdx.Tabular.add_row t [ name; pretty b; "-"; "n/a"; "n/a"; "MISSING" ]
+          add_row [ name; pretty b; "-"; "n/a"; "n/a"; "MISSING" ]
       | Some n ->
           let dt = delta b n in
           let dm =
@@ -202,15 +203,17 @@ let () =
             | Some _ -> "ok"
             | None -> "n/a"
           in
-          Stdx.Tabular.add_row t
-            [ name; pretty b; pretty n; pretty_delta dt; pretty_delta dm; verdict ])
+          add_row [ name; pretty b; pretty n; pretty_delta dt; pretty_delta dm; verdict ])
     names;
   Hashtbl.iter
     (fun name n ->
       if not (Hashtbl.mem base_ns name) then
-        Stdx.Tabular.add_row t [ name; "-"; pretty n; "n/a"; "n/a"; "new" ])
+        add_row [ name; "-"; pretty n; "n/a"; "n/a"; "new" ])
     new_ns;
-  Stdx.Tabular.print t;
+  print_string
+    (Stdx.Report.to_text_body
+       (Stdx.Report.make ~id:"perf-gate" ~title:"perf gate" [ Stdx.Report.finish t ]));
+  print_newline ();
   let warn_only =
     match Sys.getenv_opt "STP_PERF_GATE" with Some "warn" -> true | Some _ | None -> false
   in

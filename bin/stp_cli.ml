@@ -160,7 +160,6 @@ let alpha_run m_max format json =
   | Ok () ->
       (match format with
       | `Text ->
-          (* Body plus a blank line: byte-identical to Tabular.print. *)
           print_string (Report.to_text_body r);
           print_newline ()
       | `Json ->
@@ -264,14 +263,13 @@ let attack_run protocol config x1 x2 xs depth single symm mem_budget jobs json =
     let* () = maybe_json (Core.Attack.search_report ?stats outcomes witness) json in
     `Ok ()
   end
+  else if symm then
+    `Error (false, "--symm quotients an all-pairs sweep; give the inputs with -x")
   else begin
     let outcome =
       if single then
-        Core.Attack.search_single p ~x:x1 ~depth ?mem_budget_bytes:mem_budget ?stats
-          ~symm ()
-      else
-        Core.Attack.search_pair p ~x1 ~x2 ~depth ?mem_budget_bytes:mem_budget ?stats
-          ~symm ()
+        Core.Attack.search_single p ~x:x1 ~depth ?mem_budget_bytes:mem_budget ?stats ()
+      else Core.Attack.search_pair p ~x1 ~x2 ~depth ?mem_budget_bytes:mem_budget ?stats ()
     in
     (match outcome with
     | Core.Attack.Witness w -> Format.printf "%a@." Core.Attack.pp_witness w
@@ -314,10 +312,10 @@ let attack_cmd =
       value & flag
       & info [ "symm" ]
           ~doc:
-            "Quotient the search by data-alphabet symmetry: canonicalise inputs by \
-             first-occurrence relabelling, search one representative per orbit of input \
-             pairs, and translate witnesses back.  Outcomes are unchanged; only protocols \
-             declaring an equivariance are affected (others ignore the flag).")
+            "Quotient the all-pairs sweep (requires $(b,-x)) by data-alphabet symmetry and \
+             the run swap: search one representative per orbit of input pairs and translate \
+             witnesses back.  Outcomes are unchanged; only protocols declaring an \
+             equivariance are affected (others ignore the flag).")
   in
   let mem_budget =
     Arg.(

@@ -378,14 +378,17 @@ module Starved = struct
     done;
     (comp, !next_comp)
 
-  let find ~table_keys ~expand ~channel =
-    (* Index the states. *)
-    let keys = ref [] in
-    let globals : (key, Global.t * Global.t) Hashtbl.t = Hashtbl.create 1024 in
-    table_keys (fun key g1 g2 ->
-        keys := key :: !keys;
-        Hashtbl.replace globals key (g1, g2));
-    let key_arr = Array.of_list !keys in
+  (* [table] is the closed joint graph: every node was expanded, so its
+     cached [edges] are its full (non-violating) successor list. *)
+  let find (table : (key, node) Hashtbl.t) ~channel =
+    (* Index the states in reverse [Hashtbl.iter] order.  Each
+       component's representative — and so the witness — is its first
+       state in this index, so the order is observable (E3's
+       starvation depth depends on it). *)
+    let nodes = ref [] in
+    Hashtbl.iter (fun key node -> nodes := (key, node) :: !nodes) table;
+    let nodes = Array.of_list !nodes in
+    let key_arr = Array.map fst nodes in
     let n = Array.length key_arr in
     let idx_of : (key, int) Hashtbl.t = Hashtbl.create n in
     Array.iteri (fun i k -> Hashtbl.replace idx_of k i) key_arr;
@@ -399,8 +402,9 @@ module Starved = struct
     let is_drop_jm = function Sync m | Only1 m | Only2 m -> is_drop m in
     let edges =
       Array.map
-        (fun k -> Array.of_list (List.filter (fun (jm, _) -> not (is_drop_jm jm)) (expand k)))
-        key_arr
+        (fun (_, node) ->
+          Array.of_list (List.filter (fun (jm, _) -> not (is_drop_jm jm)) node.edges))
+        nodes
     in
     let succs =
       Array.map
@@ -438,16 +442,15 @@ module Starved = struct
       edges;
     (* Debt-free states per component (deleting channels only). *)
     Array.iteri
-      (fun i k ->
-        let g1, g2 = Hashtbl.find globals k in
+      (fun i (k, node) ->
         let s = stats.(comp.(i)) in
-        if run_debt g1 = 0 && s.debt0_key_1 = None then s.debt0_key_1 <- Some k;
-        if run_debt g2 = 0 && s.debt0_key_2 = None then s.debt0_key_2 <- Some k)
-      key_arr;
+        if run_debt node.g1 = 0 && s.debt0_key_1 = None then s.debt0_key_1 <- Some k;
+        if run_debt node.g2 = 0 && s.debt0_key_2 = None then s.debt0_key_2 <- Some k)
+      nodes;
     let dup = Chan.duplicates channel in
     let check s which =
-      let rep_g1, rep_g2 = Hashtbl.find globals s.rep in
-      let g = if which = 1 then rep_g1 else rep_g2 in
+      let rep = Hashtbl.find table s.rep in
+      let g = if which = 1 then rep.g1 else rep.g2 in
       let wake_i = if which = 1 then s.wake1 else s.wake2 in
       let acks_i = if which = 1 then s.ack1 else s.ack2 in
       let debt0_i = if which = 1 then s.debt0_key_1 else s.debt0_key_2 in
@@ -487,23 +490,12 @@ let path_to table key =
 
 let is_prefix = Xset.is_prefix
 
-(* Wall-clock resource guard shared by the two searches: a [None]
-   budget never fires; an exceeded budget truncates the search exactly
-   like the state budget does ([closed = false]), so callers get a
-   partial outcome instead of an open-ended run. *)
-let make_deadline = function
-  | None -> fun () -> false
-  | Some seconds ->
-      let d = Sys.time () +. seconds in
-      fun () -> Sys.time () > d
-
-let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_000)
-    ?allow_drops ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
-    ?runstates ?mem_budget_bytes ?stats () =
+let search_pair (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_000) ?allow_drops
+    ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?runstates ?mem_budget_bytes
+    ?stats () =
   let allow_drops =
     match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
   in
-  let over_deadline = make_deadline max_seconds in
   let rs1, rs2 =
     match runstates with
     | Some rr -> rr
@@ -570,11 +562,6 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
   in
   check_safety key0 (Hashtbl.find table key0);
   while (not (Stdx.Frontier.is_empty frontier)) && !result = None do
-    if over_deadline () then begin
-      truncated := true;
-      Stdx.Frontier.clear frontier
-    end
-    else begin
     let key = Stdx.Frontier.pop2 frontier in
     let node = Hashtbl.find table key in
     if node.node_depth >= depth then truncated := true
@@ -643,7 +630,6 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
            ~recv_cap:max_sends_per_receiver node.g1 node.g2);
       node.edges <- List.rev !edges
     end
-    end
   done;
   let states_explored = Hashtbl.length table in
   match !result with
@@ -666,11 +652,7 @@ let search_pair_raw (p : Protocol.t) ~x1 ~x2 ?(depth = 64) ?(max_states = 200_00
            expanded by the BFS, so its cached edges are the full
            (non-violating) successor list — no second [Sim.apply]
            sweep. *)
-        match
-          Starved.find ~table_keys:(fun f -> Hashtbl.iter (fun k n -> f k n.g1 n.g2) table)
-            ~expand:(fun key -> (Hashtbl.find table key).edges)
-            ~channel:p.Protocol.channel
-        with
+        match Starved.find table ~channel:p.Protocol.channel with
         | Some (key, starved_run) ->
             let moves = path_to table key in
             Witness
@@ -699,16 +681,14 @@ let single_keep ~allow_drops ~send_cap ~recv_cap (g : Global.t) = function
 let single_moves ~allow_drops ~send_cap ~recv_cap p g =
   List.filter (single_keep ~allow_drops ~send_cap ~recv_cap g) (Sim.enabled p g)
 
-let search_single_raw (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000)
-    ?allow_drops ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?max_seconds
-    ?mem_budget_bytes ?stats () =
+let search_single (p : Protocol.t) ~x ?(depth = 64) ?(max_states = 200_000) ?allow_drops
+    ?(max_sends_per_sender = 24) ?(max_sends_per_receiver = 24) ?mem_budget_bytes ?stats () =
   let allow_drops =
     match allow_drops with Some b -> b | None -> Chan.deletes p.Protocol.channel
   in
   let sa = p.Protocol.sender_alphabet and ra = p.Protocol.receiver_alphabet in
   let r =
-    Kernel.Bfs.search ~depth ~max_states ?mem_budget_bytes
-      ~over_deadline:(make_deadline max_seconds) ~key:Global.emit
+    Kernel.Bfs.search ~depth ~max_states ?mem_budget_bytes ~key:Global.emit
       ~moves:(fun _ ->
         single_moves ~allow_drops ~send_cap:max_sends_per_sender
           ~recv_cap:max_sends_per_receiver p)
@@ -813,42 +793,6 @@ let canon_pair_swap ~m x1 x2 =
   let cks, pis = Symm.canon_pair ~m x2 x1 in
   if compare cks ck < 0 then (cks, pis, true) else (ck, pi, false)
 
-let search_pair (p : Protocol.t) ~x1 ~x2 ?depth ?max_states ?allow_drops
-    ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds ?runstates
-    ?mem_budget_bytes ?stats ?(symm = false) () =
-  let quotient =
-    (* Caller-supplied stores are tied to the literal inputs, so the
-       canonical rewrite only applies to self-contained searches
-       ({!search} canonicalises before building its shared stores). *)
-    match (runstates, if symm then p.Protocol.symmetry else None) with
-    | None, Some eq -> Some eq
-    | _ -> None
-  in
-  match quotient with
-  | None ->
-      search_pair_raw p ~x1 ~x2 ?depth ?max_states ?allow_drops ?max_sends_per_sender
-        ?max_sends_per_receiver ?max_seconds ?runstates ?mem_budget_bytes ?stats ()
-  | Some eq ->
-      let m = infer_m [ x1; x2 ] in
-      let (cx1, cx2), pi = Symm.canon_pair ~m x1 x2 in
-      search_pair_raw p ~x1:cx1 ~x2:cx2 ?depth ?max_states ?allow_drops
-        ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds ?mem_budget_bytes
-        ?stats ()
-      |> relabel_outcome eq pi ~x1 ~x2
-
-let search_single (p : Protocol.t) ~x ?depth ?max_states ?allow_drops
-    ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds ?mem_budget_bytes ?stats
-    ?(symm = false) () =
-  match (if symm then p.Protocol.symmetry else None) with
-  | None ->
-      search_single_raw p ~x ?depth ?max_states ?allow_drops ?max_sends_per_sender
-        ?max_sends_per_receiver ?max_seconds ?mem_budget_bytes ?stats ()
-  | Some eq ->
-      let cx, pi = Symm.canon_seq ~m:(infer_m [ x ]) x in
-      search_single_raw p ~x:cx ?depth ?max_states ?allow_drops ?max_sends_per_sender
-        ?max_sends_per_receiver ?max_seconds ?mem_budget_bytes ?stats ()
-      |> relabel_outcome eq pi ~x1:x ~x2:x
-
 let eligible_pairs ~xs =
   let rec pairs = function
     | [] -> []
@@ -861,16 +805,38 @@ let eligible_pairs ~xs =
   pairs xs
 
 let search p ~xs ?depth ?max_states ?allow_drops ?max_sends_per_sender
-    ?max_sends_per_receiver ?max_seconds ?jobs ?mem_budget_bytes ?stats ?(symm = false) () =
-  let all_pairs = eligible_pairs ~xs in
-  (* One transition store per distinct input, built up front and
-     shared by every pair that input participates in: the α(m)² sweep
-     computes each single-run (state, move) successor once per input
-     instead of once per pair.  The stores are mutex-guarded, so the
-     pair searches stay embarrassingly parallel — disjoint joint
-     tables, shared read-mostly caches.  Par.map preserves order, so
-     the outcome list and the first witness are identical at any job
-     count. *)
+    ?max_sends_per_receiver ?jobs ?mem_budget_bytes ?stats ?(symm = false) () =
+  (* Tag every eligible pair with the representative whose search
+     answers it and the map carrying that outcome back.  Without the
+     quotient the representative is the pair itself.  With it, the
+     representative is the composed canonical image (alphabet
+     relabelling × run swap), and the outcome is relabelled through
+     π⁻¹ and, when the swapped ordering won, mirrored. *)
+  let represent =
+    match (if symm then p.Protocol.symmetry else None) with
+    | None -> fun x1 x2 -> ((x1, x2), Fun.id)
+    | Some eq ->
+        let m = infer_m xs in
+        fun x1 x2 ->
+          let rep, pi, swapped = canon_pair_swap ~m x1 x2 in
+          ( rep,
+            if swapped then fun o -> mirror_outcome (relabel_outcome eq pi ~x1:x2 ~x2:x1 o)
+            else relabel_outcome eq pi ~x1 ~x2 )
+  in
+  let tagged =
+    List.map
+      (fun (x1, x2) ->
+        let rep, back = represent x1 x2 in
+        (x1, x2, rep, back))
+      (eligible_pairs ~xs)
+  in
+  (* One transition store per distinct searched input, shared by every
+     representative that input appears in: each single-run (state,
+     move) successor is computed once per input instead of once per
+     pair.  Canonical inputs overlap far more than raw ones, so the
+     quotient shares more.  The stores are mutex-guarded, so the
+     searches stay embarrassingly parallel — disjoint joint tables,
+     shared read-mostly caches. *)
   let stores : (int list, Runstate.t) Hashtbl.t = Hashtbl.create 8 in
   let store x =
     match Hashtbl.find_opt stores x with
@@ -880,74 +846,29 @@ let search p ~xs ?depth ?max_states ?allow_drops ?max_sends_per_sender
         Hashtbl.add stores x rs;
         rs
   in
+  (* Each representative is searched once, in first-occurrence order.
+     Par.map preserves order, so the outcome list and the first
+     witness are identical at any job count. *)
+  let rep_index : (int list * int list, int) Hashtbl.t = Hashtbl.create 16 in
+  let reps = ref [] in
+  List.iter
+    (fun (_, _, rep, _) ->
+      if not (Hashtbl.mem rep_index rep) then begin
+        Hashtbl.add rep_index rep (Hashtbl.length rep_index);
+        reps := rep :: !reps
+      end)
+    tagged;
+  let rep_outcomes =
+    List.rev_map (fun ((x1, x2) as rep) -> (rep, store x1, store x2)) !reps
+    |> Par.map ?jobs (fun ((x1, x2), rs1, rs2) ->
+           search_pair p ~x1 ~x2 ?depth ?max_states ?allow_drops ?max_sends_per_sender
+             ?max_sends_per_receiver ~runstates:(rs1, rs2) ?mem_budget_bytes ?stats ())
+    |> Array.of_list
+  in
   let outcomes =
-    match (if symm then p.Protocol.symmetry else None) with
-    | None ->
-        let tagged = List.map (fun (x1, x2) -> (x1, x2, store x1, store x2)) all_pairs in
-        Par.map ?jobs
-          (fun (x1, x2, rs1, rs2) ->
-            ( x1,
-              x2,
-              search_pair_raw p ~x1 ~x2 ?depth ?max_states ?allow_drops
-                ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds
-                ~runstates:(rs1, rs2) ?mem_budget_bytes ?stats () ))
-          tagged
-    | Some eq ->
-        (* Orbit quotient: tag every eligible pair with its canonical
-           image and permutation, search only the first occurrence of
-           each canonical pair, and expand the representative outcomes
-           back over the full pair list in the original order — so the
-           report is shaped exactly like the unquotiented sweep's, and
-           the saved work is the whole point.  Stores are keyed by
-           *canonical* inputs, which also overlap far more than raw
-           inputs do.  The quotient composes with the run-swap
-           symmetry: both orderings of a pair share one representative,
-           and members whose orientation lost the canonical race get
-           mirrored outcomes. *)
-        let m = infer_m xs in
-        let tagged =
-          List.map
-            (fun (x1, x2) ->
-              let ckey, pi, swapped = canon_pair_swap ~m x1 x2 in
-              (x1, x2, ckey, pi, swapped))
-            all_pairs
-        in
-        let rep_index : (int list * int list, int) Hashtbl.t = Hashtbl.create 16 in
-        let reps = ref [] in
-        List.iter
-          (fun (_, _, ckey, _, _) ->
-            if not (Hashtbl.mem rep_index ckey) then begin
-              Hashtbl.add rep_index ckey (Hashtbl.length rep_index);
-              reps := ckey :: !reps
-            end)
-          tagged;
-        let rep_tagged =
-          List.rev_map (fun ((cx1, cx2) as ck) -> (ck, store cx1, store cx2)) !reps
-        in
-        let rep_outcomes =
-          Array.make (Hashtbl.length rep_index) (No_violation { closed = false; states_explored = 0 })
-        in
-        List.iter2
-          (fun (ck, _, _) o -> rep_outcomes.(Hashtbl.find rep_index ck) <- o)
-          rep_tagged
-          (Par.map ?jobs
-             (fun ((cx1, cx2), rs1, rs2) ->
-               search_pair_raw p ~x1:cx1 ~x2:cx2 ?depth ?max_states ?allow_drops
-                 ?max_sends_per_sender ?max_sends_per_receiver ?max_seconds
-                 ~runstates:(rs1, rs2) ?mem_budget_bytes ?stats ())
-             rep_tagged);
-        List.map
-          (fun (x1, x2, ckey, pi, swapped) ->
-            let o = rep_outcomes.(Hashtbl.find rep_index ckey) in
-            let o =
-              if swapped then
-                (* The representative is [(x2, x1)]'s canonical image:
-                   relabel back to [(x2, x1)], then mirror the runs. *)
-                mirror_outcome (relabel_outcome eq pi ~x1:x2 ~x2:x1 o)
-              else relabel_outcome eq pi ~x1 ~x2 o
-            in
-            (x1, x2, o))
-          tagged
+    List.map
+      (fun (x1, x2, rep, back) -> (x1, x2, back rep_outcomes.(Hashtbl.find rep_index rep)))
+      tagged
   in
   let first_witness =
     List.find_map (function _, _, Witness w -> Some w | _, _, No_violation _ -> None) outcomes

@@ -44,14 +44,17 @@
     parent id and move code per visited state, and a global state only
     while it is queued.
 
-    With [~symm:true], searches on protocols declaring an
-    {!Kernel.Symm.equivariance} are quotiented by data-alphabet
-    permutations: inputs are canonicalised by first-occurrence
-    relabelling before searching, {!search} searches one
-    representative per orbit of input pairs, and witness paths are
-    translated back through the inverse permutation.  Outcomes are
-    unchanged — up to m! of the work disappears.  See {!Kernel.Symm}
-    and DESIGN.md ("The symmetry quotient"). *)
+    With [~symm:true], {!search} on a protocol declaring an
+    {!Kernel.Symm.equivariance} is quotiented by data-alphabet
+    permutations and the run swap: it searches one representative per
+    orbit of input pairs and translates witness paths back.  Outcomes
+    are unchanged — up to 2·m! of the pair searches disappear.  Single
+    searches take no such switch: the canonical relabelling of one
+    input or pair visits exactly as many states as the literal one.
+    See {!Kernel.Symm} and DESIGN.md ("The symmetry quotient").
+
+    Only [depth], [max_states] and the send caps bound a search, so
+    every outcome is a function of the inputs alone. *)
 
 type joint_move =
   | Sync of Kernel.Move.t  (** receiver-visible; applied to both runs *)
@@ -176,11 +179,9 @@ val search_pair :
   ?allow_drops:bool ->
   ?max_sends_per_sender:int ->
   ?max_sends_per_receiver:int ->
-  ?max_seconds:float ->
   ?runstates:Runstate.t * Runstate.t ->
   ?mem_budget_bytes:int ->
   ?stats:Stats.t ->
-  ?symm:bool ->
   unit ->
   outcome
 (** [search_pair p ~x1 ~x2 ()] explores the joint system.
@@ -193,11 +194,7 @@ val search_pair :
     channels, where the reverse channel's multiset would otherwise
     grow without bound and the joint space would never close.
     Defaults: [depth = 64], [max_states = 200_000], [allow_drops]
-    follows the protocol's channel kind.  [max_seconds] adds a
-    CPU-time guard: an exceeded budget truncates the search
-    ([closed = false]) like the state budget does, so a partial
-    outcome comes back instead of an open-ended run.  [runstates]
-    supplies the two
+    follows the protocol's channel kind.  [runstates] supplies the two
     runs' transition stores (run 1's first) — pass stores shared with
     other pairs to reuse their memoised transitions, as {!search}
     does; when omitted, fresh private stores are created.  Sharing
@@ -207,11 +204,7 @@ val search_pair :
     — the outcome (and any report built from it) is byte-identical to
     the unbounded search's, only where frontier bytes live changes.
     [stats] names an accumulator to merge this search's resource
-    counters into (see {!Stats}).  [symm] (default
-    [false]) searches the canonical relabelling of [(x1, x2)] and
-    translates any witness back — a no-op unless the protocol
-    declares an equivariance; ignored when [runstates] is supplied
-    (caller stores are tied to the literal inputs). *)
+    counters into (see {!Stats}). *)
 
 val search_single :
   Kernel.Protocol.t ->
@@ -221,18 +214,16 @@ val search_single :
   ?allow_drops:bool ->
   ?max_sends_per_sender:int ->
   ?max_sends_per_receiver:int ->
-  ?max_seconds:float ->
   ?mem_budget_bytes:int ->
   ?stats:Stats.t ->
-  ?symm:bool ->
   unit ->
   outcome
 (** Single-run safety search: BFS over *one* run's full adversary
     choice space for a reachable unsafe state.  Catches violations
     that need no confuser pair — e.g. duplication making the
     Alternating Bit receiver write a third item on a two-item input.
-    The witness's [x1 = x2 = x] and all moves are [Only1].  [symm]
-    as in {!search_pair}. *)
+    The witness's [x1 = x2 = x] and all moves are [Only1].  Runs on
+    {!Kernel.Bfs}; the optional arguments are {!search_pair}'s. *)
 
 val single_keep :
   allow_drops:bool -> send_cap:int -> recv_cap:int -> Kernel.Global.t -> Kernel.Move.t -> bool
@@ -281,36 +272,37 @@ val search :
   ?allow_drops:bool ->
   ?max_sends_per_sender:int ->
   ?max_sends_per_receiver:int ->
-  ?max_seconds:float ->
   ?jobs:int ->
   ?mem_budget_bytes:int ->
   ?stats:Stats.t ->
   ?symm:bool ->
   unit ->
   (int list * int list * outcome) list * witness option
-(** Runs {!search_pair} on every pair in [eligible_pairs ~xs].
-    Returns all per-pair outcomes and the first witness found, if
-    any.  One {!Runstate} store per distinct input is shared across
-    all its pairs, so each single-run transition is simulated once
-    per input rather than once per pair.  [jobs] (default: [STP_JOBS]
-    or 1) fans the independent pair searches out over that many
-    domains via {!Par.map}; the stores are safely shared and the
-    outcomes and first witness are identical at every job count.
+(** Answers every pair in [eligible_pairs ~xs], in that order, with
+    one outcome each, and returns them with the first witness found,
+    if any.  Each pair is tagged with a representative: the pair
+    itself, or with [symm] its {!canon_pair_swap} image.  Each distinct
+    representative is searched once with {!search_pair}, and its
+    outcome is mapped back to every pair it stands for.  A pair listed
+    twice (a repeated input in [xs]) is therefore searched once.
+    One {!Runstate} store per distinct searched input is shared
+    across all its representatives, so each single-run transition is
+    simulated once per input rather than once per pair.  [jobs]
+    (default: [STP_JOBS] or 1) fans the representative searches out
+    over that many domains via {!Par.map}; the stores are safely
+    shared and the outcomes and first witness are identical at every
+    job count.
 
-    [symm] (default [false]), on a protocol declaring an
-    equivariance, searches one representative per orbit of eligible
-    pairs under joint first-occurrence canonicalisation and expands
-    the representative outcomes back over the full pair list in the
-    original order, relabelling witnesses through each member's
-    inverse permutation — the outcome list keeps exactly the
-    unquotiented sweep's shape while up to m! of the pair searches
-    are skipped.  Stores are then keyed by canonical inputs, which
-    collide (and so share) far more often than raw inputs.  The
-    quotient composes the run-swap symmetry too: both orderings of a
-    pair share one representative ({!canon_pair_swap}) and members
-    whose orientation lost the canonical race get mirrored outcomes —
-    sound because the joint system is run-exchange symmetric (see
-    DESIGN.md, "Out-of-core search").
+    [symm] (default [false]) matters only on a protocol declaring an
+    equivariance.  Then the representative is the pair's canonical
+    image under data-alphabet permutations × run swap, and its outcome
+    is relabelled through the member's inverse permutation and, when
+    the swapped ordering won, mirrored (runs exchanged).  The outcome
+    list is exactly the unquotiented sweep's while up to 2·m! of the
+    pair searches are skipped, and the stores, keyed by canonical
+    inputs, share far more.  The mirror is sound because the joint
+    system is run-exchange symmetric (see DESIGN.md, "Out-of-core
+    search").
     [mem_budget_bytes] and [stats] are threaded to every pair search
     as in {!search_pair}. *)
 

@@ -42,9 +42,8 @@
       executable face. *)
 
 type result = Stdx.Report.t
-(** Each experiment now builds a typed {!Stdx.Report} instead of a
-    rendered string: the text renderer reproduces the old
-    {!Stdx.Tabular} output byte-for-byte, and the same value feeds the
+(** Each experiment builds a typed {!Stdx.Report} instead of a
+    rendered string: the same value feeds the text renderer and the
     JSON/CSV artifact writers.  The legacy field reads are available
     as accessors below. *)
 

@@ -34,20 +34,6 @@ type report = {
   messages_per_item : Stdx.Stats.summary option;
 }
 
-let run_one p ~input ~strategy ~seed ~max_steps =
-  let result =
-    Runner.run p ~input:(Array.of_list input) ~strategy ~rng:(Stdx.Rng.create seed) ~max_steps ()
-  in
-  (Verdict.of_result result, (Kernel.Audit.run result.Runner.trace).Kernel.Audit.ok)
-
-let verify_one p ~input spec =
-  List.concat_map
-    (fun strategy ->
-      List.map
-        (fun seed -> fst (run_one p ~input ~strategy ~seed ~max_steps:spec.max_steps))
-        spec.seeds)
-    spec.strategies
-
 let verify (p : Kernel.Protocol.t) ~xs ?max_failures ?(jobs = 1) spec =
   (* All (input, strategy, seed) cells become one scheduler batch; the
      fold below walks the results in the historical nested-loop order,

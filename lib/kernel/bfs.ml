@@ -28,8 +28,8 @@ let ensure c i =
     c.live <- grow c.live None
   end
 
-let search ~depth ~max_states ?mem_budget_bytes ?(over_deadline = fun () -> false)
-    ?edge ~key ~moves ~step ~code ~decode ~goal ~push_goal roots =
+let search ~depth ~max_states ?mem_budget_bytes ?edge ~key ~moves ~step ~code ~decode ~goal
+    ~push_goal roots =
   let intern = Stdx.Intern.create ~size:64 () in
   let scratch = Stdx.Codec.create ~size:256 () in
   let id s =
@@ -70,43 +70,37 @@ let search ~depth ~max_states ?mem_budget_bytes ?(over_deadline = fun () -> fals
   next_level := 0;
   let level = ref 0 in
   while (not (Stdx.Frontier.is_empty frontier)) && !found = None do
-    if over_deadline () then begin
-      truncated := true;
-      Stdx.Frontier.clear frontier
-    end
-    else begin
-      if !this_level = 0 then begin
-        this_level := !next_level;
-        next_level := 0;
-        incr level
-      end;
-      let i = Stdx.Frontier.pop frontier in
-      decr this_level;
-      let s = Option.get cols.live.(i) in
-      cols.live.(i) <- None;
-      if !level >= depth then truncated := true
-      else
-        List.iter
-          (fun m ->
-            if !found = None then
-              match step s m with
-              | None -> ()
-              | Some s' ->
-                  let i' = id s' in
-                  let fresh = Stdx.Bitset.add visited i' in
-                  (* A refused id leaves the visited set, so the next
-                     edge to it is refused (and reported) again. *)
-                  let refused = fresh && !states >= max_states in
-                  if refused then begin
-                    truncated := true;
-                    Stdx.Bitset.remove visited i'
-                  end
-                  else if fresh then visit i' s' ~parent:i ~via:(code m);
-                  match edge with
-                  | Some f -> f i (if refused then -1 else i')
-                  | None -> ())
-          (moves i s)
-    end
+    if !this_level = 0 then begin
+      this_level := !next_level;
+      next_level := 0;
+      incr level
+    end;
+    let i = Stdx.Frontier.pop frontier in
+    decr this_level;
+    let s = Option.get cols.live.(i) in
+    cols.live.(i) <- None;
+    if !level >= depth then truncated := true
+    else
+      List.iter
+        (fun m ->
+          if !found = None then
+            match step s m with
+            | None -> ()
+            | Some s' ->
+                let i' = id s' in
+                let fresh = Stdx.Bitset.add visited i' in
+                (* A refused id leaves the visited set, so the next
+                   edge to it is refused (and reported) again. *)
+                let refused = fresh && !states >= max_states in
+                if refused then begin
+                  truncated := true;
+                  Stdx.Bitset.remove visited i'
+                end
+                else if fresh then visit i' s' ~parent:i ~via:(code m);
+                match edge with
+                | Some f -> f i (if refused then -1 else i')
+                | None -> ())
+        (moves i s)
   done;
   let rec unwind i acc =
     let c = cols.code.(i) in

@@ -24,8 +24,7 @@ type 'm result = {
       (** The first goal state reached, as the index in [roots] of the
           root it was reached from and the moves from that root. *)
   closed : bool;
-      (** [false] when [depth], [max_states] or the deadline cut the
-          search short. *)
+      (** [false] when [depth] or [max_states] cut the search short. *)
   states : int;  (** Visited states, roots included. *)
   frontier : Stdx.Frontier.stats;
 }
@@ -34,7 +33,6 @@ val search :
   depth:int ->
   max_states:int ->
   ?mem_budget_bytes:int ->
-  ?over_deadline:(unit -> bool) ->
   ?edge:(int -> int -> unit) ->
   key:(Stdx.Codec.t -> 's -> unit) ->
   moves:(int -> 's -> 'm list) ->
@@ -58,8 +56,8 @@ val search :
 
     States at level [depth] are not expanded ([moves] is never asked
     for them), and no state is visited past the [max_states]th; either
-    cut, or [over_deadline ()] turning true before a pop, makes the
-    search not [closed].  [edge i j] reports every successor generated
+    cut makes the search not [closed], so the result depends on the
+    inputs alone.  [edge i j] reports every successor generated
     while expanding [i]: [j] is its id, or [-1] when the state budget
     refused it.  A refused state is not marked visited, so a later edge
     to it is refused and reported again.  [code]/[decode] map moves to

@@ -44,11 +44,3 @@ let no_drops _g = function
   | Move.Restart_sender | Move.Restart_receiver | Move.Corrupt_sender _ | Move.Corrupt_receiver _
     ->
       true
-
-let bounded_flight k (g : Global.t) = function
-  | Move.Wake_sender -> Chan.debt g.Global.chan_sr < k
-  | Move.Wake_receiver -> Chan.debt g.Global.chan_rs < k
-  | Move.Deliver_to_receiver _ | Move.Deliver_to_sender _ | Move.Drop_to_receiver _
-  | Move.Drop_to_sender _ | Move.Restart_sender | Move.Restart_receiver
-  | Move.Corrupt_sender _ | Move.Corrupt_receiver _ ->
-      true

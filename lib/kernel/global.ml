@@ -64,10 +64,6 @@ let encode t =
   emit c t;
   Stdx.Codec.contents c
 
-let emit_with_r_view c t =
-  emit c t;
-  Hist.emit c t.r_hist
-
 (* Everything a state-space engine's *decisions* can read: the
    fingerprint plus the channel counters (send caps, debt) and the
    safety bit.  Histories and the clock are excluded — they are
@@ -82,8 +78,3 @@ let emit_run_key c t =
   Chan.emit_run_key c t.chan_rs;
   Stdx.Codec.add_varint c (output_length t);
   Stdx.Codec.add_byte c (if t.output_ok then 1 else 0)
-
-let encode_with_r_view t =
-  let c = Stdx.Codec.create ~size:160 () in
-  emit_with_r_view c t;
-  Stdx.Codec.contents c

@@ -62,11 +62,6 @@ val encode : t -> string
 (** [emit] into a throwaway codec, copied out — for callers that want
     the fingerprint as a standalone string key. *)
 
-val emit_with_r_view : Stdx.Codec.t -> t -> unit
-(** Like {!emit} but additionally distinguishes receiver views —
-    for searches that must not merge states the receiver can tell
-    apart. *)
-
 val emit_run_key : Stdx.Codec.t -> t -> unit
 (** {!emit} refined with the channel counter multisets and the safety
     bit: the complete set of observables engine decisions read (move
@@ -75,6 +70,3 @@ val emit_run_key : Stdx.Codec.t -> t -> unit
     feed back into evolution — so states equal under this key have
     behaviourally interchangeable futures.  The memo key of
     {!Core.Attack.Runstate}. *)
-
-val encode_with_r_view : t -> string
-(** String form of {!emit_with_r_view}. *)

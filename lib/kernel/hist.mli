@@ -42,11 +42,6 @@ val encode : t -> string
     experiment, so the encoding is computed incrementally as entries
     are appended. *)
 
-val emit : Stdx.Codec.t -> t -> unit
-(** Append the canonical binary form (length header, then tagged
-    varint entries, oldest first) — the view-distinguishing component
-    of {!Global.encode_with_r_view}. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

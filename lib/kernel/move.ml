@@ -10,12 +10,6 @@ type t =
   | Corrupt_sender of int
   | Corrupt_receiver of int
 
-let is_receiver_visible = function
-  | Wake_receiver | Deliver_to_receiver _ | Restart_receiver | Corrupt_receiver _ -> true
-  | Wake_sender | Deliver_to_sender _ | Drop_to_receiver _ | Drop_to_sender _ | Restart_sender
-  | Corrupt_sender _ ->
-      false
-
 (* Message values are bounded by the declared alphabets, so the
    searchable moves number densely in [0, code_space). *)
 let code_space ~sa ~ra = 4 + (2 * (sa + ra))

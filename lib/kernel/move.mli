@@ -30,11 +30,6 @@ type t =
           enumeration. *)
   | Corrupt_receiver of int
 
-val is_receiver_visible : t -> bool
-(** Moves the receiver can observe (its wake-ups and deliveries to
-    it).  The product attack search synchronises exactly these across
-    the two runs it steers. *)
-
 val code_space : sa:int -> ra:int -> int
 (** Number of distinct {!code}s for a protocol whose sender and
     receiver alphabets have [sa] and [ra] symbols. *)

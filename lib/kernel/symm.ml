@@ -51,8 +51,6 @@ module Relabel = struct
         Hashtbl.add t.tbl v c;
         t.next <- c + 1;
         c
-
-  let assigned t = t.next
 end
 
 let canon_seqs ~m xss =
@@ -79,11 +77,6 @@ let canon_seqs ~m xss =
       end)
     p;
   (css, p)
-
-let canon_seq ~m xs =
-  match canon_seqs ~m [ xs ] with
-  | [ c ], p -> (c, p)
-  | _ -> assert false
 
 let canon_pair ~m x1 x2 =
   match canon_seqs ~m [ x1; x2 ] with

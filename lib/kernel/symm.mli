@@ -75,9 +75,6 @@ module Relabel : sig
   val map : t -> int -> int
   (** Canonical label of [v]: a fresh next label on first sight, the
       remembered one afterwards. *)
-
-  val assigned : t -> int
-  (** Distinct symbols seen so far. *)
 end
 
 val canon_seqs : m:int -> int list list -> int list list * perm
@@ -89,8 +86,6 @@ val canon_seqs : m:int -> int list list -> int list list * perm
     invariant under pre-permutation of the alphabet — the orbit-key
     property.
     @raise Invalid_argument if a symbol falls outside [\[0, m)]. *)
-
-val canon_seq : m:int -> int list -> int list * perm
 
 val canon_pair : m:int -> int list -> int list -> (int list * int list) * perm
 (** The pair-sweep orbit key: [canon_pair ~m x1 x2] scans [x1] then

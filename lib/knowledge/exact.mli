@@ -13,9 +13,9 @@
     length is bounded by the point's own time).
 
     The run count is exponential in the depth, so this is for the
-    small instances where exactness matters: E6's ablation compares
-    sampled against exact learning times, and the test suite uses
-    exact universes to pin down knowledge in scripted scenarios. *)
+    small instances where exactness matters: test_extensions compares
+    sampled against exact learning times, and pins down knowledge in
+    scripted scenarios on exact universes. *)
 
 val universe :
   Kernel.Protocol.t ->
@@ -29,9 +29,8 @@ val universe :
     [depth] for every input and pools all traces.  The boolean is
     [true] when no [max_runs_per_input] cap was hit — i.e. the
     universe really is exhaustive for the truncation.  [move_filter]
-    prunes adversary choices (e.g. {!Kernel.Explore.no_drops} or
-    {!Kernel.Explore.bounded_flight}); pruned universes are exact for
-    the pruned system. *)
+    prunes adversary choices (e.g. {!Kernel.Explore.no_drops});
+    pruned universes are exact for the pruned system. *)
 
 val compare_with_sampled :
   Universe.t ->
@@ -43,4 +42,4 @@ val compare_with_sampled :
     the learning times of a run as computed in the exact universe with
     those of a corresponding run in the sampled universe (same input
     expected; the caller aligns the indices).  Sampled times are never
-    later than exact ones — the ablation E6 quantifies the gap. *)
+    later than exact ones. *)

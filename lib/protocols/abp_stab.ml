@@ -74,7 +74,10 @@ let make v channel ~domain ~max_len =
     channel;
     make_sender =
       (fun ~input ->
-        assert (Array.length input <= max_len);
+        if Array.length input > max_len then
+          invalid_arg
+            (Printf.sprintf "%s: input of length %d exceeds max_len %d" v.family
+               (Array.length input) max_len);
         Proc.make ~state:{ input; domain; cursor = 0 } ~step:sender_step ());
     make_receiver =
       (fun () ->

@@ -85,6 +85,13 @@ let job_of_json ~index j =
       | None -> Error (Printf.sprintf "unknown channel %S" channel_name)
     in
     let* domain = int_field j "domain" ~default:d.Registry.domain in
+    (* Every registered builder takes [domain] as its data alphabet. *)
+    let* () = if domain < 1 then Error "\"domain\" must be at least 1" else Ok () in
+    let* () =
+      match Array.find_opt (fun s -> s < 0 || s >= domain) input with
+      | Some s -> Error (Printf.sprintf "input symbol %d outside the domain [0, %d)" s domain)
+      | None -> Ok ()
+    in
     let* max_len = int_field j "max_len" ~default:d.Registry.max_len in
     let* header_space = int_field j "header_space" ~default:d.Registry.header_space in
     let* drop_budget = int_field j "drop_budget" ~default:d.Registry.drop_budget in
@@ -92,6 +99,15 @@ let job_of_json ~index j =
     let* protocol =
       Registry.build_protocol ~name:protocol_name
         { Registry.channel; domain; max_len; header_space; drop_budget; window }
+    in
+    (* Builders check the input (its length against [max_len], its
+       membership in an allowable set) when the sender is made, so make
+       it once here: a rejected input is this job's error, not a crash
+       of the batch. *)
+    let* () =
+      match protocol.Kernel.Protocol.make_sender ~input with
+      | exception Invalid_argument e -> Error e
+      | _ -> Ok ()
     in
     let* strategy_name = str_field j "strategy" ~default:"fair-random" in
     let* base = Kernel.Strategy.of_string strategy_name in

@@ -18,8 +18,6 @@ let remove t x =
   | Some 1 -> Some (IntMap.remove x t)
   | Some n -> Some (IntMap.add x (n - 1) t)
 
-let remove_all t x = IntMap.remove x t
-
 let support t = IntMap.fold (fun x _ acc -> x :: acc) t [] |> List.rev
 
 let cardinal t = IntMap.fold (fun _ n acc -> acc + n) t 0

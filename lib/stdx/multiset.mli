@@ -23,9 +23,6 @@ val add : ?times:int -> t -> int -> t
 val remove : t -> int -> t option
 (** [remove t x] removes one copy of [x]; [None] when [count t x = 0]. *)
 
-val remove_all : t -> int -> t
-(** [remove_all t x] drops every copy of [x]. *)
-
 val support : t -> int list
 (** Distinct elements with positive multiplicity, ascending. *)
 

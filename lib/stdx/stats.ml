@@ -52,8 +52,6 @@ let summarize xs =
           p99 = percentile a 0.99;
         }
 
-let summarize_ints xs = summarize (List.map float_of_int xs)
-
 let histogram ~buckets xs =
   match (xs, buckets) with
   | [], _ | _, 0 -> []

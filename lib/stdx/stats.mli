@@ -18,8 +18,6 @@ type summary = {
 val summarize : float list -> summary option
 (** [summarize xs] is [None] on the empty list. *)
 
-val summarize_ints : int list -> summary option
-
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [\[0,1\]] over a sorted array,
     linear interpolation between ranks.  Requires a non-empty array. *)

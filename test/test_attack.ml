@@ -370,6 +370,38 @@ let test_search_jobs_equivalence () =
   check Alcotest.bool "first witness identical" true
     (Option.map (fun w -> w.Attack.kind) w1 = Option.map (fun w -> w.Attack.kind) w4)
 
+let test_search_repeated_input () =
+  (* A repeated input repeats pairs.  Every eligible pair keeps its own
+     row in order, the copies of a pair share one search (so their
+     outcomes are the same value), and the quotient changes no row. *)
+  let p = Protocols.Counting.protocol_on Chan.Reorder_dup ~domain:2 in
+  let strip (a, b, o) =
+    ( a,
+      b,
+      match o with
+      | Attack.Witness w -> `W (w.Attack.kind, w.Attack.depth, w.Attack.states_explored)
+      | Attack.No_violation { closed; states_explored } -> `N (closed, states_explored) )
+  in
+  List.iter
+    (fun xs ->
+      let plain, _ = Attack.search p ~xs ~symm:false () in
+      let quotient, _ = Attack.search p ~xs ~symm:true () in
+      check Alcotest.bool "one row per eligible pair" true
+        (List.map (fun (a, b, _) -> (a, b)) plain = Attack.eligible_pairs ~xs);
+      check Alcotest.bool "symm = plain" true
+        (List.map strip plain = List.map strip quotient);
+      List.iter
+        (fun outcomes ->
+          let of_pair pair =
+            List.filter_map (fun (a, b, o) -> if (a, b) = pair then Some o else None) outcomes
+          in
+          match of_pair ([ 0; 1 ], [ 1; 0 ]) with
+          | o :: copies ->
+              check Alcotest.bool "copies of a pair agree" true (List.for_all (( = ) o) copies)
+          | [] -> Alcotest.fail "the pair is eligible")
+        [ plain; quotient ])
+    [ [ [ 0; 1 ]; [ 1; 0 ]; [ 0; 1 ] ]; [ [ 0; 1 ]; [ 1; 0 ]; [ 0; 1 ]; [ 1; 0 ] ] ]
+
 let test_runstate_sharing_invariant () =
   (* Private stores, stores shared across pairs, and disabled memo
      must all produce identical outcomes — sharing changes only the
@@ -446,6 +478,7 @@ let () =
             test_mem_budget_spill_exactness;
           Alcotest.test_case "e1-e12 quick output bytes" `Slow test_experiment_digests;
           Alcotest.test_case "jobs-invariant sweep" `Quick test_search_jobs_equivalence;
+          Alcotest.test_case "repeated input sweep" `Quick test_search_repeated_input;
           Alcotest.test_case "runstate sharing invariant" `Quick test_runstate_sharing_invariant;
         ] );
       ( "search controls",

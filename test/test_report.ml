@@ -1,5 +1,6 @@
-(* The report IR: golden schema pins, renderer parity, round-trip
-   fixpoints, and the registry cross-checks.
+(* The report IR: golden schema pins, round-trip fixpoints, and the
+   registry cross-checks.  The text renderer's bytes are pinned by the
+   E1-E12 quick output digests in test_attack.
 
    The JSON golden below is the schema contract for --json artifacts:
    if it moves, downstream tooling breaks, so any intentional change
@@ -84,23 +85,10 @@ let test_golden_json () =
   if not (Json.equal actual expected) then
     Alcotest.failf "golden JSON drifted; actual:@.%s" (Json.to_string actual)
 
-let test_text_matches_tabular () =
-  (* The text renderer must be byte-identical to the original Tabular
-     renderer on the same content — the guarantee that kept the E1-E12
-     output stable across the IR refactor. *)
-  let t =
-    Stdx.Tabular.create ~title:"cells"
-      [ ("n", Stdx.Tabular.Right); ("t", Stdx.Tabular.Right); ("name", Stdx.Tabular.Left) ]
-  in
-  Stdx.Tabular.add_row t [ "1"; "0.50"; "a" ];
-  Stdx.Tabular.add_separator t;
-  Stdx.Tabular.add_row t [ "22"; "1.250"; "b" ];
-  let ir_table =
-    match (sample ()).R.items with
-    | R.Table tbl :: _ -> tbl
-    | _ -> Alcotest.fail "sample lost its table"
-  in
-  check Alcotest.string "tabular parity" (Stdx.Tabular.render t) (R.table_to_text ir_table)
+let test_row_arity () =
+  let b = R.table ~title:"T" [ ("a", R.Left) ] in
+  Alcotest.check_raises "arity mismatch" (Invalid_argument "Report.row: arity mismatch")
+    (fun () -> R.row b [ R.str "x"; R.str "y" ])
 
 let contains ~needle hay =
   let n = String.length needle in
@@ -276,7 +264,7 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "json schema" `Quick test_golden_json;
-          Alcotest.test_case "text = tabular" `Quick test_text_matches_tabular;
+          Alcotest.test_case "row arity" `Quick test_row_arity;
           Alcotest.test_case "csv units" `Quick test_csv;
           Alcotest.test_case "round trip" `Quick test_round_trip_sample;
           Alcotest.test_case "validate artifact" `Quick test_validate_artifact;
